@@ -174,57 +174,6 @@ BENCHMARK(BM_MetisAlternation_B4)
     ->Args({200, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Pricing-rule sweep (arg1: 0 = Dantzig full scan, 1 = devex partial
-// pricing) on the same convergence-mode alternation workload, with warm
-// starts and presolve on in both variants so the pricing rule is the only
-// lever.  Compare `simplex_iters` and wall-clock between the two rows and
-// against bench/lp_solver_baseline.json.  The honest contract (measured,
-// see EXPERIMENTS.md §pricing): on these small, well-scaled path-packing
-// LPs Dantzig's profit-greedy entering choice is already near-optimal, so
-// devex runs at ~1.05x the Dantzig iteration count — the win is per-pass
-// pricing work, where `partial_hits` (passes satisfied inside a rotating
-// candidate window) must dominate `full_fallbacks` (passes that walked the
-// whole nonbasic ring).  `profit` must agree with Dantzig's to within the
-// alternate-optimum wobble of the rounding pipeline (the two rules stop at
-// different vertices of the same optimal face, so accepted sets may differ
-// while every LP objective matches exactly).
-void BM_MetisPricing_B4(benchmark::State& state) {
-  const lp::PricingRule rule = state.range(1) != 0 ? lp::PricingRule::Devex
-                                                   : lp::PricingRule::Dantzig;
-  const auto instance =
-      instance_for(static_cast<int>(state.range(0)), sim::Network::B4);
-  core::MetisOptions options;
-  options.theta = 0;
-  options.maa.lp.pricing = rule;
-  options.taa.lp.pricing = rule;
-  core::MetisResult result;
-  for (auto _ : state) {
-    Rng rng(7);
-    result = core::run_metis(instance, rng, options);
-    benchmark::ClobberMemory();
-  }
-  int accepted = 0;
-  for (int choice : result.schedule.path_choice) {
-    if (choice != core::kDeclined) ++accepted;
-  }
-  state.counters["simplex_iters"] =
-      static_cast<double>(result.lp_stats.iterations);
-  state.counters["pricing_passes"] =
-      static_cast<double>(result.lp_stats.pricing_passes);
-  state.counters["partial_hits"] =
-      static_cast<double>(result.lp_stats.partial_hits);
-  state.counters["full_fallbacks"] =
-      static_cast<double>(result.lp_stats.full_fallbacks);
-  state.counters["profit"] = result.best.profit;
-  state.counters["accepted"] = accepted;
-}
-BENCHMARK(BM_MetisPricing_B4)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // Custom main (instead of benchmark_main): `--telemetry-json` must be

@@ -47,9 +47,6 @@ bool same_lp_stats(const metis::lp::SolveStats& a,
          a.presolve_removed_rows == b.presolve_removed_rows &&
          a.presolve_removed_cols == b.presolve_removed_cols &&
          a.warm_starts == b.warm_starts && a.cold_starts == b.cold_starts &&
-         a.pricing_passes == b.pricing_passes &&
-         a.partial_hits == b.partial_hits &&
-         a.full_fallbacks == b.full_fallbacks &&
          a.basis_repairs == b.basis_repairs;
 }
 

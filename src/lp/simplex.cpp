@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "lp/basis_factor.h"
 #include "lp/presolve.h"
 #include "util/log.h"
 #include "util/numeric.h"
@@ -16,237 +16,12 @@ namespace metis::lp {
 
 namespace {
 
-enum class VarStatus { Basic, AtLower, AtUpper, Free };
-
-/// Sparse column: the nonzeros of one variable across all rows.
-struct Column {
-  std::vector<int> row;
-  std::vector<double> coef;
-};
-
-/// Whole working state of one solve.  All columns (structural, slack,
-/// artificial) share the index space [0, num_cols).
-struct Tableau {
-  int m = 0;                 // rows
-  int n_struct = 0;          // structural columns
-  std::vector<Column> cols;  // per column nonzeros
-  std::vector<double> lb, ub, value;
-  std::vector<VarStatus> status;
-  std::vector<double> b;       // row rhs
-  std::vector<int> basis;      // basis[k] = column basic at position k
-  std::vector<int> basis_row;  // basis_row[j] = position of basic col j, or -1
-  std::vector<int> artificials;
-
-  int num_cols() const { return static_cast<int>(cols.size()); }
-  bool is_fixed(int j) const { return lb[j] == ub[j]; }
-};
-
-/// Sparse LU factorization of the basis (left-looking elimination with
-/// partial pivoting; deterministic ties to the smallest row index) plus a
-/// product-form eta file appended per pivot between refactorizations.
-///
-/// The factorization satisfies  P * (prod_j Lhat_j) * B = U  where Lhat_j
-/// is the elementary elimination of pivot j, P gathers pivot rows into
-/// basis-position order, and U is upper triangular in position space, so
-///   FTRAN: w = B^{-1} a = U^{-1} P (prod Lhat) a   then forward etas,
-///   BTRAN: y = B^{-T} c  via reverse transposed etas, forward U^T-solve,
-///          scatter through P^T, backward transposed Lhat application.
-/// FTRAN results are indexed by basis position; BTRAN results by row.
-class BasisFactor {
- public:
-  /// Factorizes the columns `basis[k]` of `t`.  Clears the eta file.
-  /// Returns false when the basis is numerically singular.
-  bool factorize(const Tableau& t, const std::vector<int>& basis) {
-    m_ = static_cast<int>(basis.size());
-    lcols_.assign(m_, {});
-    ucols_.assign(m_, {});
-    pivot_row_.assign(m_, -1);
-    etas_.clear();
-    std::vector<int> pivot_pos(m_, -1);  // row -> pivot position, or -1
-    std::vector<double> x(m_, 0.0);
-    std::vector<char> seen(m_, 0);
-    std::vector<int> touched;
-    touched.reserve(m_);
-    const auto touch = [&](int r) {
-      if (!seen[r]) {
-        seen[r] = 1;
-        touched.push_back(r);
-      }
-    };
-    for (int k = 0; k < m_; ++k) {
-      const Column& col = t.cols[basis[k]];
-      for (std::size_t i = 0; i < col.row.size(); ++i) {
-        x[col.row[i]] = col.coef[i];
-        touch(col.row[i]);
-      }
-      // Left-looking: apply earlier pivots in order; the value sitting on
-      // pivot row j right before its elimination is exactly U's entry u_jk.
-      UCol& u = ucols_[k];
-      for (int j = 0; j < k; ++j) {
-        const double xr = x[pivot_row_[j]];
-        if (xr == 0.0) continue;
-        u.pos.push_back(j);
-        u.val.push_back(xr);
-        const LCol& l = lcols_[j];
-        for (std::size_t i = 0; i < l.row.size(); ++i) {
-          x[l.row[i]] -= l.mult[i] * xr;
-          touch(l.row[i]);
-        }
-      }
-      // Partial pivoting over rows not yet claimed by an earlier pivot.
-      int piv = -1;
-      double best = 0.0;
-      for (int r : touched) {
-        if (pivot_pos[r] >= 0) continue;
-        const double a = std::abs(x[r]);
-        if (a > best || (a == best && a > 0.0 && r < piv)) {
-          best = a;
-          piv = r;
-        }
-      }
-      if (piv < 0 || best < num::kSingularTol) {
-        // Singular: no acceptable pivot for basis position k.  Record
-        // which position failed and which rows no earlier pivot claimed
-        // (ascending), so the caller can repair the basis deterministically
-        // instead of giving up.
-        fail_pos_ = k;
-        fail_rows_.clear();
-        for (int r = 0; r < m_; ++r) {
-          if (pivot_pos[r] < 0) fail_rows_.push_back(r);
-        }
-        for (int r : touched) {
-          x[r] = 0.0;
-          seen[r] = 0;
-        }
-        return false;
-      }
-      pivot_row_[k] = piv;
-      pivot_pos[piv] = k;
-      u.diag = x[piv];
-      LCol& l = lcols_[k];
-      for (int r : touched) {
-        if (pivot_pos[r] >= 0 || x[r] == 0.0) continue;
-        l.row.push_back(r);
-        l.mult.push_back(x[r] / u.diag);
-      }
-      for (int r : touched) {
-        x[r] = 0.0;
-        seen[r] = 0;
-      }
-      touched.clear();
-    }
-    return true;
-  }
-
-  /// Solves B z = w.  `w` arrives in row space (and is clobbered); `z`
-  /// leaves in basis-position space.
-  void ftran(std::vector<double>& w, std::vector<double>& z) const {
-    for (int j = 0; j < m_; ++j) {
-      const double xr = w[pivot_row_[j]];
-      if (xr == 0.0) continue;
-      const LCol& l = lcols_[j];
-      for (std::size_t i = 0; i < l.row.size(); ++i) {
-        w[l.row[i]] -= l.mult[i] * xr;
-      }
-    }
-    z.assign(m_, 0.0);
-    for (int k = 0; k < m_; ++k) z[k] = w[pivot_row_[k]];
-    for (int k = m_ - 1; k >= 0; --k) {
-      if (z[k] == 0.0) continue;
-      z[k] /= ucols_[k].diag;
-      const UCol& u = ucols_[k];
-      for (std::size_t i = 0; i < u.pos.size(); ++i) {
-        z[u.pos[i]] -= u.val[i] * z[k];
-      }
-    }
-    for (const Eta& e : etas_) {
-      const double zr = z[e.r] / e.pivot;
-      if (zr != 0.0) {
-        for (std::size_t i = 0; i < e.idx.size(); ++i) {
-          z[e.idx[i]] -= e.val[i] * zr;
-        }
-      }
-      z[e.r] = zr;
-    }
-  }
-
-  /// Solves B^T y = z.  `z` arrives in basis-position space (and is
-  /// clobbered); `y` leaves in row space.
-  void btran(std::vector<double>& z, std::vector<double>& y) const {
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      double acc = z[it->r];
-      for (std::size_t i = 0; i < it->idx.size(); ++i) {
-        acc -= it->val[i] * z[it->idx[i]];
-      }
-      z[it->r] = acc / it->pivot;
-    }
-    for (int k = 0; k < m_; ++k) {
-      double acc = z[k];
-      const UCol& u = ucols_[k];
-      for (std::size_t i = 0; i < u.pos.size(); ++i) {
-        acc -= u.val[i] * z[u.pos[i]];
-      }
-      z[k] = acc / ucols_[k].diag;
-    }
-    y.assign(m_, 0.0);
-    for (int k = 0; k < m_; ++k) y[pivot_row_[k]] = z[k];
-    for (int j = m_ - 1; j >= 0; --j) {
-      const LCol& l = lcols_[j];
-      double acc = y[pivot_row_[j]];
-      for (std::size_t i = 0; i < l.row.size(); ++i) {
-        acc -= l.mult[i] * y[l.row[i]];
-      }
-      y[pivot_row_[j]] = acc;
-    }
-  }
-
-  /// Records the basis change at position `r` with FTRAN spike `w`
-  /// (position space): new B = old B * E where E's column r is w.
-  void push_eta(int r, const std::vector<double>& w) {
-    Eta e;
-    e.r = r;
-    e.pivot = w[r];
-    for (int i = 0; i < m_; ++i) {
-      if (i != r && w[i] != 0.0) {
-        e.idx.push_back(i);
-        e.val.push_back(w[i]);
-      }
-    }
-    etas_.push_back(std::move(e));
-  }
-
-  int eta_count() const { return static_cast<int>(etas_.size()); }
-
-  /// After a failed factorize: the basis position whose column had no
-  /// acceptable pivot, and the rows left unclaimed (ascending).
-  int fail_pos() const { return fail_pos_; }
-  const std::vector<int>& fail_rows() const { return fail_rows_; }
-
- private:
-  struct LCol {  // elimination multipliers of one pivot, by original row
-    std::vector<int> row;
-    std::vector<double> mult;
-  };
-  struct UCol {  // strictly-upper entries (by pivot position) + diagonal
-    std::vector<int> pos;
-    std::vector<double> val;
-    double diag = 0;
-  };
-  struct Eta {  // product-form update at position r with spike (idx, val)
-    int r = 0;
-    double pivot = 0;
-    std::vector<int> idx;
-    std::vector<double> val;
-  };
-
-  int m_ = 0;
-  std::vector<LCol> lcols_;
-  std::vector<UCol> ucols_;
-  std::vector<int> pivot_row_;  // pivot_row_[k] = original row of pivot k
-  std::vector<Eta> etas_;
-  int fail_pos_ = -1;           // basis position of the last failure
-  std::vector<int> fail_rows_;  // unclaimed rows of the last failure
-};
+using detail::BasisFactor;
+using detail::Column;
+using detail::initial_status;
+using detail::resting_value;
+using detail::Tableau;
+using detail::VarStatus;
 
 /// Builds sparse columns from the row-wise LinearProblem, merging duplicate
 /// column references within a row.
@@ -300,21 +75,6 @@ void add_slacks(const LinearProblem& p, Tableau& t) {
         t.ub.push_back(0.0);
         break;
     }
-  }
-}
-
-/// Chooses the initial resting point of a nonbasic column.
-VarStatus initial_status(double lb, double ub) {
-  if (std::isfinite(lb)) return VarStatus::AtLower;
-  if (std::isfinite(ub)) return VarStatus::AtUpper;
-  return VarStatus::Free;
-}
-
-double resting_value(VarStatus s, double lb, double ub) {
-  switch (s) {
-    case VarStatus::AtLower: return lb;
-    case VarStatus::AtUpper: return ub;
-    default: return 0.0;
   }
 }
 
@@ -491,7 +251,7 @@ class Engine {
       const int slack = t_.n_struct + r;
       const double clamped = std::clamp(resid[r], t_.lb[slack], t_.ub[slack]);
       if (std::abs(resid[r] - clamped) <= opt_.tol) {
-        set_basic(slack, r, resid[r]);
+        t_.set_basic(slack, r, resid[r]);
       } else {
         // Slack rests at its nearest bound; an artificial carries the rest.
         t_.status[slack] =
@@ -513,13 +273,6 @@ class Engine {
       }
     }
     refactorize();
-  }
-
-  void set_basic(int col, int row, double value) {
-    t_.status[col] = VarStatus::Basic;
-    t_.value[col] = value;
-    t_.basis[row] = col;
-    t_.basis_row[col] = row;
   }
 
   std::vector<double> compute_y(const std::vector<double>& c) const {
@@ -552,66 +305,13 @@ class Engine {
     return z;
   }
 
-  /// rho = B^{-T} e_r: row r of B^{-1}.  rho . a_j is entry j of the pivot
-  /// row, the quantity the devex weight recurrence needs per nonbasic
-  /// column.
-  std::vector<double> btran_unit(int r) const {
-    std::vector<double> z(t_.m, 0.0);
-    z[r] = 1.0;
-    std::vector<double> rho;
-    factor_.btran(z, rho);
-    return rho;
-  }
-
-  /// Refactorizes the current basis from scratch and recomputes values.
-  /// Also resets the devex reference weights to a fresh reference
-  /// framework: the refactorization interval bounds how far the weight
-  /// recurrence can grow/drift, and a reset alongside the exact recompute
-  /// keeps the pricing frame and the numerical frame in lockstep.
+  /// Refactorizes the current basis from scratch (repairing it if it has
+  /// gone numerically singular; see basis_factor.h) and recomputes values.
   void refactorize() {
     if (t_.m == 0) return;
-    int repairs = 0;
-    while (!factor_.factorize(t_, t_.basis)) {
-      // A run of numerically tiny (but individually acceptable) pivots can
-      // leave the basis columns dependent to working precision.  The old
-      // behaviour was a hard throw; repair instead, so one bad pivot
-      // sequence cannot kill a whole solve.  Each repair claims one more
-      // row, so the loop terminates; the cap keeps the old throw as a
-      // backstop against pathological inputs.
-      if (++repairs > t_.m) {
-        throw std::runtime_error("simplex: singular basis during refactorize");
-      }
-      repair_basis(factor_.fail_pos(), factor_.fail_rows());
-    }
-    basis_repairs_ += repairs;
+    basis_repairs_ += detail::factorize_with_repair(t_, factor_);
     ++factorizations_;
     recompute_basic_values();
-    if (opt_.pricing == PricingRule::Devex) reset_devex();
-  }
-
-  /// Deterministic singular-basis repair: the LU found no acceptable pivot
-  /// for the column at basis position `pos` — it is numerically dependent
-  /// on the other basis columns.  Swap in the slack of the smallest
-  /// unclaimed row whose slack is still nonbasic (a unit column on an
-  /// unclaimed row is independent of everything already factored) and rest
-  /// the displaced column at its nearest bound.
-  void repair_basis(int pos, const std::vector<int>& unclaimed) {
-    int row = unclaimed.empty() ? -1 : unclaimed.front();
-    for (int r : unclaimed) {
-      if (t_.basis_row[t_.n_struct + r] < 0) {
-        row = r;
-        break;
-      }
-    }
-    if (row < 0) {
-      throw std::runtime_error("simplex: singular basis during refactorize");
-    }
-    const int out = t_.basis[pos];
-    const int slack = t_.n_struct + row;
-    t_.status[out] = initial_status(t_.lb[out], t_.ub[out]);
-    t_.value[out] = resting_value(t_.status[out], t_.lb[out], t_.ub[out]);
-    t_.basis_row[out] = -1;
-    set_basic(slack, pos, t_.value[slack]);
   }
 
   void recompute_basic_values() {
@@ -774,8 +474,7 @@ class Engine {
   /// (smallest index on ties).  Bland mode takes the first eligible index
   /// instead, which guarantees termination.
   int price_dantzig(const std::vector<double>& c, const std::vector<double>& y,
-                    bool bland, double* enter_d) {
-    ++pricing_passes_;
+                    bool bland, double* enter_d) const {
     int enter = -1;
     double best = 0;
     for (int j = 0; j < t_.num_cols(); ++j) {
@@ -796,119 +495,21 @@ class Engine {
     return enter;
   }
 
-  /// Devex partial pricing: scan the nonbasic ring in windows of
-  /// `pricing_window` columns starting just past the previous entering
-  /// column, stopping at the end of the first window that holds an
-  /// attractive column; the entering variable maximizes the devex-weighted
-  /// violation d_j^2 / w_j (deterministic ties to the smallest column
-  /// index).  When every window comes up empty the scan has walked the full
-  /// ring — exactly a Dantzig-style full pass — so "no candidate" certifies
-  /// optimality under the same tolerance as the full scan.
-  int price_devex(const std::vector<double>& c, const std::vector<double>& y,
-                  double* enter_d) {
-    ++pricing_passes_;
-    const int n = t_.num_cols();
-    const int window =
-        opt_.pricing_window > 0 ? opt_.pricing_window : std::max(64, n / 8);
-    int enter = -1;
-    double best_score = 0;
-    int scanned = 0;
-    for (int k = 0; k < n; ++k) {
-      int j = window_start_ + k;
-      if (j >= n) j -= n;
-      ++scanned;
-      if (t_.status[j] != VarStatus::Basic && !t_.is_fixed(j)) {
-        const double d = reduced_cost(j, c, y);
-        const double violation = pricing_violation(j, d);
-        if (violation > 0) {
-          const double score = violation * violation / devex_[j];
-          if (score > best_score ||
-              (score == best_score && enter >= 0 && j < enter)) {
-            best_score = score;
-            enter = j;
-            *enter_d = d;
-          }
-        }
-      }
-      if (enter >= 0 && (k + 1) % window == 0) break;
-    }
-    if (scanned >= n) {
-      ++full_fallbacks_;
-    } else {
-      ++partial_hits_;
-    }
-    if (enter >= 0) window_start_ = enter + 1 == n ? 0 : enter + 1;
-    return enter;
-  }
-
-  /// Resets every devex reference weight to 1 (a fresh reference
-  /// framework).  Called on refactorization — which bounds how stale the
-  /// projected-devex weights can get — and therefore also on Bland-mode
-  /// entry, whose transition refactorizes.
-  void reset_devex() { devex_.assign(t_.num_cols(), 1.0); }
-
-  /// Devex weight update for one pivot (Forrest & Goldfarb's recurrence):
-  /// entering column `enter` displaced position `leave_pos`'s variable to
-  /// `leave`, with pivot element `alpha` (the FTRAN spike at the pivot
-  /// position).  With alpha_j = e_r^T B^{-1} a_j the pivot-row entry of
-  /// nonbasic column j,
-  ///
-  ///    gamma_j    = max(gamma_j, (alpha_j / alpha)^2 * gamma_q)   j != q
-  ///    gamma_r    = max(gamma_q / alpha^2, 1)
-  ///
-  /// which keeps each gamma_j an underestimate-by-design reference-space
-  /// proxy for the steepest-edge norm ||B^{-1} a_j||^2.  The pivot row
-  /// costs one BTRAN of e_r plus a sweep of the nonbasic columns — the
-  /// same O(nnz(A)) order as one Dantzig pricing scan — and buys the
-  /// iteration-count reduction that is the whole point of devex; the
-  /// partial window then makes the *pricing* side cheap.  Weight growth is
-  /// bounded by the refactorization reset (a fresh reference framework
-  /// every refactor_interval pivots).
-  void update_devex(int enter, int leave, int leave_pos, double alpha) {
-    if (alpha == 0.0) return;  // unreachable: the pivot magnitude is checked
-    const double gq = std::max(devex_[enter], 1.0);
-    const double alpha_sq = alpha * alpha;
-    const std::vector<double> rho = btran_unit(leave_pos);
-    for (int j = 0; j < t_.num_cols(); ++j) {
-      if (t_.status[j] == VarStatus::Basic || t_.is_fixed(j) || j == enter) {
-        continue;
-      }
-      const Column& col = t_.cols[j];
-      double aj = 0;
-      for (std::size_t k = 0; k < col.row.size(); ++k) {
-        aj += rho[col.row[k]] * col.coef[k];
-      }
-      if (aj == 0.0) continue;
-      const double cand = aj * aj / alpha_sq * gq;
-      if (cand > devex_[j]) devex_[j] = cand;
-    }
-    devex_[leave] = std::max(gq / alpha_sq, 1.0);
-  }
-
   SolveStatus iterate(const std::vector<double>& c, bool phase1) {
     int degenerate_run = 0;
-    const bool devex = opt_.pricing == PricingRule::Devex;
-    if (devex) reset_devex();
     while (true) {
       if (iterations_++ >= max_iterations_) return SolveStatus::IterationLimit;
       const bool bland = degenerate_run >= opt_.bland_threshold;
       // Reinversion trigger 1 (deterministic: a pure function of the pivot
       // sequence): on the transition into Bland's anti-cycling mode,
       // refactorize once so the endgame prices against exact basic values
-      // instead of the drift the Harris bound-expansion accumulated.  The
-      // refactorization also resets the devex weights, so Bland's endgame
-      // never prices on a stale reference framework.
+      // instead of the drift the Harris bound-expansion accumulated.
       if (degenerate_run == opt_.bland_threshold) refactorize();
       const std::vector<double> y = compute_y(c);
 
-      // --- Pricing (devex partial by default; see simplex.h) ---
-      int enter = -1;
+      // --- Pricing (Dantzig full scan; see simplex.h) ---
       double enter_d = 0;
-      if (devex && !bland) {
-        enter = price_devex(c, y, &enter_d);
-      } else {
-        enter = price_dantzig(c, y, bland, &enter_d);
-      }
+      const int enter = price_dantzig(c, y, bland, &enter_d);
       if (enter < 0) return SolveStatus::Optimal;
 
       // Direction: sigma=+1 when the entering variable increases.
@@ -924,9 +525,9 @@ class Engine {
       // BOTH sides of the pivot: entering (price_dantzig in bland mode)
       // AND leaving.  Harris's largest-pivot choice breaks the guarantee —
       // on heavily degenerate vertices the Bland endgame can revisit bases
-      // forever (observed as a ~100k-iteration cycle under partial
-      // pricing) — so Bland mode always uses the textbook rule, whose
-      // tie-break is the smallest basis column index.
+      // forever (observed as a ~100k-iteration cycle) — so Bland mode
+      // always uses the textbook rule, whose tie-break is the smallest
+      // basis column index.
       const RatioChoice choice = opt_.harris && !bland
                                      ? ratio_test_harris(sigma, w)
                                      : ratio_test_textbook(sigma, w);
@@ -974,8 +575,7 @@ class Engine {
         t_.value[leave] = 0.0;
         t_.status[leave] = VarStatus::AtLower;
       }
-      set_basic(enter, leave_pos, enter_value);
-      if (devex) update_devex(enter, leave, leave_pos, w[leave_pos]);
+      t_.set_basic(enter, leave_pos, enter_value);
 
       // --- Update the factorization ---
       // Reinversion triggers 2-4, all deterministic (pure functions of the
@@ -1001,9 +601,6 @@ class Engine {
     out.iterations = iterations_;
     out.stats.iterations = iterations_;
     out.stats.factorizations = factorizations_;
-    out.stats.pricing_passes = pricing_passes_;
-    out.stats.partial_hits = partial_hits_;
-    out.stats.full_fallbacks = full_fallbacks_;
     out.stats.basis_repairs = basis_repairs_;
   }
 
@@ -1011,16 +608,11 @@ class Engine {
   Tableau t_;
   BasisFactor factor_;
   std::vector<double> cost_;  // minimization costs over all columns
-  std::vector<double> devex_;  // devex reference weights, one per column
   double sign_ = 1.0;
   int iterations_ = 0;
   int factorizations_ = 0;
   int basis_repairs_ = 0;
   int max_iterations_ = 0;
-  int window_start_ = 0;       // partial-pricing ring cursor
-  long pricing_passes_ = 0;    // pricing calls (one per iteration)
-  long partial_hits_ = 0;      // devex passes satisfied inside the ring
-  long full_fallbacks_ = 0;    // devex passes that walked the full ring
 };
 
 }  // namespace
@@ -1174,9 +766,6 @@ LpSolution SimplexSolver::solve(const LinearProblem& problem,
   telemetry::count("lp.solves");
   telemetry::count("lp.iterations", sol.stats.iterations);
   telemetry::count("lp.factorizations", sol.stats.factorizations);
-  telemetry::count("lp.pricing_passes", sol.stats.pricing_passes);
-  telemetry::count("lp.partial_hits", sol.stats.partial_hits);
-  telemetry::count("lp.full_fallbacks", sol.stats.full_fallbacks);
   if (sol.stats.basis_repairs > 0) {
     telemetry::count("lp.basis_repairs", sol.stats.basis_repairs);
   }

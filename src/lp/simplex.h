@@ -16,11 +16,13 @@
 //  * Sparse LU basis factorization (left-looking, partial pivoting with
 //    deterministic ties) with product-form eta updates per pivot; the basis
 //    is refactorized every `refactor_interval` pivots to bound drift.
-//    FTRAN/BTRAN run against the sparse factors, never a dense inverse.
-//  * Devex partial pricing over rotating candidate windows by default
-//    (PricingRule::Dantzig restores the full-scan rule), with an automatic
-//    switch to Bland's rule after a run of degenerate pivots, which
-//    guarantees termination under either rule.
+//    FTRAN/BTRAN run against the sparse factors, never a dense inverse.  A
+//    basis that has gone numerically singular is repaired by deterministic
+//    slack swap-ins (lp/basis_factor.h).
+//  * Dantzig pricing: a full scan of the nonbasic reduced costs picks the
+//    largest violation each iteration (ties to the smallest column index),
+//    with an automatic switch to Bland's rule after a run of degenerate
+//    pivots, which guarantees termination.
 //  * Presolve by default.  `presolve()` reductions run in front of the
 //    simplex and `postsolve` lifts the reduced optimum — primal AND dual —
 //    back to the caller's space.  Bypassed when `options.presolve` is off,
@@ -44,28 +46,9 @@
 
 namespace metis::lp {
 
-/// Entering-variable pricing rule of the simplex.
-///
-///  * Dantzig — full scan: every nonbasic column's reduced cost is
-///    recomputed each iteration and the largest violation enters.  O(nnz(A))
-///    per iteration, the historical behaviour.
-///  * Devex — partial pricing with candidate windows: only a rotating
-///    window of nonbasic columns is priced per iteration, and the entering
-///    column maximizes the devex-weighted violation d_j^2 / w_j.  Reference
-///    weights start at 1, follow Forrest & Goldfarb's recurrence per pivot
-///    (pivot-row based; see update_devex in simplex.cpp), and reset on
-///    every refactorization and on Bland-mode entry.  When no window
-///    contains an attractive column the scan falls through to a full pass,
-///    so optimality certification is exactly the Dantzig one.
-///
-/// Both rules are deterministic (ties to the smallest column index, window
-/// rotation a pure function of the pivot sequence), so offline bit-identity,
-/// warm/cold decision equality and thread invariance are unchanged.
-enum class PricingRule { Dantzig, Devex };
-
 /// Knobs of the sparse revised simplex.  The defaults are the production
 /// configuration every solver in the repo runs with; tests flip individual
-/// toggles (harris, pricing, presolve) to cross-check code paths against
+/// toggles (harris, presolve, scale) to cross-check code paths against
 /// each other.
 struct SimplexOptions {
   /// 0 means automatic: 200 * (rows + cols) + 2000.
@@ -99,14 +82,6 @@ struct SimplexOptions {
   /// on or a warm-start basis is accepted).  Postsolve restores full
   /// primal/dual vectors, so this is transparent to callers.
   bool presolve = true;
-  /// Entering-variable pricing rule (see PricingRule).  Devex partial
-  /// pricing is the default; Dantzig reproduces the historical full scan
-  /// (the differential fuzz oracle cross-checks the two paths).
-  PricingRule pricing = PricingRule::Devex;
-  /// Columns per partial-pricing candidate window (devex only).  0 selects
-  /// the automatic size max(64, num_cols / 8).  Small explicit windows are
-  /// for tests that exercise the full-pass fallback.
-  int pricing_window = 0;
 };
 
 /// The two-phase primal simplex method over LinearProblem (see the file

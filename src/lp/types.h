@@ -54,9 +54,6 @@ struct SolveStats {
   int presolve_removed_cols = 0;
   int warm_starts = 0;          ///< solves that started from an accepted basis
   int cold_starts = 0;          ///< solves from the slack/artificial basis
-  long pricing_passes = 0;      ///< entering-variable pricing calls
-  long partial_hits = 0;        ///< devex passes satisfied inside a window
-  long full_fallbacks = 0;      ///< devex passes that walked the whole ring
   int basis_repairs = 0;        ///< singular-basis repairs (slack swap-ins)
   double solve_seconds = 0;     ///< wall time (not deterministic; never diff)
 
@@ -67,9 +64,6 @@ struct SolveStats {
     presolve_removed_cols += o.presolve_removed_cols;
     warm_starts += o.warm_starts;
     cold_starts += o.cold_starts;
-    pricing_passes += o.pricing_passes;
-    partial_hits += o.partial_hits;
-    full_fallbacks += o.full_fallbacks;
     basis_repairs += o.basis_repairs;
     solve_seconds += o.solve_seconds;
     return *this;

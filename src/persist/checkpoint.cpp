@@ -129,9 +129,6 @@ void put_solve_stats(ByteWriter& w, const lp::SolveStats& s) {
   w.i32(s.presolve_removed_cols);
   w.i32(s.warm_starts);
   w.i32(s.cold_starts);
-  w.i64(s.pricing_passes);
-  w.i64(s.partial_hits);
-  w.i64(s.full_fallbacks);
   w.i32(s.basis_repairs);
   w.f64(s.solve_seconds);
 }
@@ -144,9 +141,6 @@ lp::SolveStats get_solve_stats(ByteReader& r) {
   s.presolve_removed_cols = r.i32();
   s.warm_starts = r.i32();
   s.cold_starts = r.i32();
-  s.pricing_passes = r.i64();
-  s.partial_hits = r.i64();
-  s.full_fallbacks = r.i64();
   s.basis_repairs = r.i32();
   s.solve_seconds = r.f64();
   return s;

@@ -35,7 +35,9 @@ namespace metis::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
                                            'S', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bumped whenever a codec's byte layout changes (version 2: the
+/// serialized lp::SolveStats lost its three pricing counters).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,
 /// truncation, out-of-order or duplicate sections, trailing bytes.

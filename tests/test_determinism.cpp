@@ -191,12 +191,6 @@ TEST(Determinism, MetisEndToEndProfitUnchangedFromSeedBehavior) {
     Rng rng(g.rng_seed);
     core::MetisOptions options;
     options.maa.rounding_trials = 1;
-    // The goldens were captured under the historical Dantzig full scan.
-    // Devex converges to a different (equally optimal) LP vertex, which
-    // legitimately changes the rounded schedule; pin the pricing rule so
-    // this test keeps guarding the RNG/rounding pipeline alone.
-    options.maa.lp.pricing = lp::PricingRule::Dantzig;
-    options.taa.lp.pricing = lp::PricingRule::Dantzig;
     const core::MetisResult result = core::run_metis(instance, rng, options);
     EXPECT_EQ(result.best.profit, g.profit) << "k=" << g.k;
     EXPECT_EQ(result.best.revenue, g.revenue) << "k=" << g.k;

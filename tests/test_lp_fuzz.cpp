@@ -109,22 +109,18 @@ TEST(LpReference, CertificateCheckerCatchesBadDuals) {
 constexpr unsigned long long kNumCases = 600;  // acceptance floor is 500
 
 TEST(LpFuzz, SparseMatchesReferenceOverSeededSweep) {
-  // Four sparse-solver paths against the dense oracle: pricing rule
-  // (devex partial pricing / Dantzig full scan) crossed with the ratio
-  // test (Harris two-pass / textbook).  Devex and Dantzig may stop at
+  // Two sparse-solver paths against the dense oracle: the Harris
+  // two-pass ratio test and the textbook one.  The paths may stop at
   // different vertices of a shared optimal face, so only status and
   // objective value are cross-checked — plus primal feasibility and the
   // full KKT certificate, which every path must produce on its own.
   struct SolverPath {
     const char* name;
-    PricingRule pricing;
     bool harris;
   };
   constexpr SolverPath kPaths[] = {
-      {"devex+harris", PricingRule::Devex, true},
-      {"devex+textbook", PricingRule::Devex, false},
-      {"dantzig+harris", PricingRule::Dantzig, true},
-      {"dantzig+textbook", PricingRule::Dantzig, false},
+      {"harris", true},
+      {"textbook", false},
   };
   int optimal = 0, infeasible = 0;
   for (unsigned long long seed = 1; seed <= kNumCases; ++seed) {
@@ -140,7 +136,6 @@ TEST(LpFuzz, SparseMatchesReferenceOverSeededSweep) {
 
     for (const SolverPath& path : kPaths) {
       SimplexOptions opt;
-      opt.pricing = path.pricing;
       opt.harris = path.harris;
       const LpSolution sol = SimplexSolver(opt).solve(fc.problem);
       ASSERT_EQ(sol.status, ref.status) << fc.label << " (" << path.name

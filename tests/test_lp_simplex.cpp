@@ -14,8 +14,10 @@
 #include <cmath>
 #include <vector>
 
+#include "core/lp_builder.h"
 #include "lp/problem.h"
 #include "lp/simplex.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 
 namespace metis::lp {
@@ -374,11 +376,26 @@ TEST(Simplex, IterationLimitWithWarmBasisLeavesBasisIntact) {
   EXPECT_EQ(redo.stats.warm_starts, 1);
 }
 
-// ------------------------------------------------- property sweeps -------
+// Determinism: the solver is a pure function of its input, so a repeat
+// solve of a real RL-SPM relaxation reproduces every bit (offline
+// bit-identity and warm/cold decision equality rest on this).
+TEST(Simplex, RepeatSolvesAreBitIdentical) {
+  sim::Scenario sc;
+  sc.network = sim::Network::B4;
+  sc.num_requests = 50;
+  sc.seed = 3;
+  const core::SpmModel model = core::build_rl_spm(sim::make_instance(sc));
+  const LpSolution a = solve(model.problem);
+  const LpSolution b = solve(model.problem);
+  ASSERT_EQ(a.status, SolveStatus::Optimal);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.stats.factorizations, b.stats.factorizations);
+  EXPECT_EQ(a.objective, b.objective);  // bitwise, not within tolerance
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.duals, b.duals);
+}
 
-struct RandomLpCase {
-  std::uint64_t seed;
-};
+// ------------------------------------------------- property sweeps -------
 
 class SimplexRandomFeasible : public ::testing::TestWithParam<int> {};
 

@@ -189,19 +189,33 @@ TEST(Snapshot, EveryFlippedByteIsDetected) {
 }
 
 TEST(Snapshot, WrongVersionRejected) {
-  std::vector<std::uint8_t> bytes = sample_container();
-  // Bump the version field (offset 8) and fix the header CRC up so only
-  // the version check can reject it.
-  bytes[8] = static_cast<std::uint8_t>(persist::kSnapshotVersion + 1);
-  const std::uint32_t crc = serialize::crc32(bytes.data(), 16);
-  for (int i = 0; i < 4; ++i) {
-    bytes[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  try {
-    const persist::SnapshotReader r(std::move(bytes), "test");
-    FAIL() << "unsupported version parsed";
-  } catch (const persist::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // An older and a newer version are both unreadable, and the diagnostic
+  // names the file's version and the one this build reads.
+  for (const std::uint32_t version :
+       {std::uint32_t{1}, persist::kSnapshotVersion + 1}) {
+    std::vector<std::uint8_t> bytes = sample_container();
+    // Rewrite the version field (offset 8) and fix the header CRC up so
+    // only the version check can reject it.
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+    }
+    const std::uint32_t crc = serialize::crc32(bytes.data(), 16);
+    for (int i = 0; i < 4; ++i) {
+      bytes[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    try {
+      const persist::SnapshotReader r(std::move(bytes), "test");
+      FAIL() << "unsupported version " << version << " parsed";
+    } catch (const persist::SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("reads version " +
+                          std::to_string(persist::kSnapshotVersion)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -473,9 +487,6 @@ TEST(CheckpointCodec, DebugJsonRenders) {
 bool same_lp_stats(const lp::SolveStats& a, const lp::SolveStats& b) {
   return a.iterations == b.iterations && a.factorizations == b.factorizations &&
          a.warm_starts == b.warm_starts && a.cold_starts == b.cold_starts &&
-         a.pricing_passes == b.pricing_passes &&
-         a.partial_hits == b.partial_hits &&
-         a.full_fallbacks == b.full_fallbacks &&
          a.basis_repairs == b.basis_repairs;
 }
 

@@ -17,7 +17,8 @@ matches the blessed baseline:
 
 Arrays of objects are joined on their identifying keys (requests, shards,
 rate, batch_size, ...) rather than by position, so reordering is not a
-diff.  With --allow-subset the current run may cover only some of the
+diff.  Arrays whose rows repeat a key (per-batch traces) are compared by
+position.  With --allow-subset the current run may cover only some of the
 baseline's rows (e.g. a quick `--requests 150` slice in CI) — extra
 baseline rows are then skipped, but every row the current run DID produce
 must still match.
@@ -59,6 +60,13 @@ def is_timing_key(key: str) -> bool:
 
 def row_key(obj: dict):
     return tuple((k, obj[k]) for k in ID_KEYS if k in obj)
+
+
+def unique_row_keys(rows: list) -> bool:
+    """True when every row is an object with id keys and no two rows share
+    them -- the condition for joining rows by key instead of position."""
+    keys = [row_key(x) if isinstance(x, dict) else () for x in rows]
+    return all(keys) and len(set(keys)) == len(keys)
 
 
 class Comparator:
@@ -112,10 +120,10 @@ class Comparator:
 
     def compare_list(self, path: str, baseline: list, current: list) -> None:
         keyed = (baseline and current
-                 and all(isinstance(x, dict) and row_key(x) for x in baseline)
-                 and all(isinstance(x, dict) and row_key(x) for x in current))
+                 and unique_row_keys(baseline) and unique_row_keys(current))
         if not keyed:
-            # Positional comparison (per_batch traces and scalar arrays).
+            # Positional comparison: scalar arrays, and traces such as
+            # per_batch whose id keys repeat (49 rows with arrivals=1).
             if len(baseline) != len(current):
                 self.fail(path, f"length {len(baseline)} vs {len(current)}")
                 return

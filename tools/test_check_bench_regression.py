@@ -5,7 +5,8 @@ Runs the checker as a subprocess (the same way ctest and CI invoke it) and
 asserts on exit codes and diagnostics: a missing or malformed input file is
 a clean usage error (exit 2, no traceback), a field mismatch or an extra
 key is a regression (exit 1), --allow-subset skips absent rows but still
-checks the rows that are present.
+checks the rows that are present, and rows that repeat an id key are
+compared by position.
 
 Registered as the `tooling`-labeled ctest (see the top-level
 CMakeLists.txt): ctest -L tooling.
@@ -142,6 +143,29 @@ class CheckBenchRegressionTest(unittest.TestCase):
         current = self.write("current.json", reordered)
         run = run_checker("--baseline", baseline, "--current", current)
         self.assertEqual(run.returncode, 0, run.stderr)
+
+    def test_repeated_id_keys_compare_by_position(self):
+        # A per-batch trace repeats its id key on every row; a keyed join
+        # would collapse the rows onto one key and report the file as
+        # different from itself.
+        trace = {"rows": [
+            {"batch_size": 1, "profit": 3.5, "per_batch": [
+                {"arrivals": 1, "iterations": 16},
+                {"arrivals": 1, "iterations": 9},
+                {"arrivals": 2, "iterations": 14},
+            ]},
+        ]}
+        baseline = self.write("baseline.json", trace)
+        run = run_checker("--baseline", baseline, "--current", baseline)
+        self.assertEqual(run.returncode, 0, run.stderr)
+
+        # Positional comparison still catches a change inside one row.
+        mutated = json.loads(json.dumps(trace))
+        mutated["rows"][0]["per_batch"][1]["iterations"] = 10
+        current = self.write("current.json", mutated)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("per_batch[1].iterations", run.stderr)
 
     def test_requires_exactly_one_input_source(self):
         baseline = self.write("baseline.json", BASELINE)
