@@ -144,7 +144,7 @@ BENCHMARK(BM_MipExact_SubB4)
 // every re-solve keeps its LP shape and warm-starts.  Compare the
 // `simplex_iters` counters between the two variants — the accelerated run
 // must need >= 3x fewer total iterations while `profit` agrees within 1e-6
-// relative (see bench/lp_solver_baseline.json for the recorded numbers).
+// relative.
 void BM_MetisAlternation_B4(benchmark::State& state) {
   const bool accelerated = state.range(1) != 0;
   const auto instance =

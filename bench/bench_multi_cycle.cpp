@@ -16,7 +16,7 @@
 #include "util/args.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   const bool csv = args.get_bool("csv", false);
@@ -82,3 +82,5 @@ int main(int argc, char** argv) {
   bench::write_telemetry(telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -211,7 +211,7 @@ void write_baseline_json(const std::string& path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   const bool csv = args.get_bool("csv", false);
@@ -339,3 +339,5 @@ int main(int argc, char** argv) {
   bench::write_telemetry(telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -91,7 +91,7 @@ void write_baseline_json(const std::string& path, const sim::Scenario& scenario,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   ArgParser args(argc, argv);
   const bool csv = args.get_bool("csv", false);
   const std::string telemetry_path = args.get("telemetry-json", "");
@@ -183,3 +183,5 @@ int main(int argc, char** argv) {
   bench::write_telemetry(telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -22,7 +22,7 @@
 #include "util/rng.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   const int rounds = args.get_int("rounds", 3);
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
                "acceptance converts the same bid book into higher profit.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

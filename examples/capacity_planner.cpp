@@ -18,7 +18,7 @@
 #include "util/args.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   const int requests = args.get_int("requests", 300);
@@ -109,3 +109,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

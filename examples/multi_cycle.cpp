@@ -18,7 +18,7 @@
 #include "util/table.h"
 #include "util/telemetry.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   sim::SimulationConfig config;
@@ -80,3 +80,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

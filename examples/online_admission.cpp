@@ -15,7 +15,7 @@
 #include "util/args.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   sim::OnlineConfig config;
@@ -88,3 +88,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -44,7 +44,7 @@ void write_samples(const std::string& topo_path, const std::string& load_path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
   ArgParser args(argc, argv);
   std::string topo_path = args.get("topology", "");
@@ -107,3 +107,5 @@ int main(int argc, char** argv) {
   purchase.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

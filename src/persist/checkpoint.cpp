@@ -338,9 +338,7 @@ std::string section_name(std::uint32_t id) {
   switch (id) {
     case kSectionMeta: return "meta";
     case kSectionBatches: return "batches";
-    case kSectionBook: return "book";
     case kSectionIncremental: return "incremental";
-    case kSectionResult: return "result";
     case kSectionEntries: return "entries";
     case kSectionTopology: return "topology";
     case kSectionFaults: return "faults";
@@ -357,7 +355,6 @@ std::vector<std::uint8_t> encode(const OnlineCheckpoint& ckpt) {
     ByteWriter w;
     w.u8(static_cast<std::uint8_t>(CheckpointKind::Online));
     w.u64(ckpt.config_fingerprint);
-    w.boolean(ckpt.fault_mode);
     w.f64(ckpt.boundary_time);
     w.u64(ckpt.next_arrival);
     w.u64(ckpt.next_fault_event);
@@ -384,24 +381,10 @@ std::vector<std::uint8_t> encode(const OnlineCheckpoint& ckpt) {
   }
   {
     ByteWriter w;
-    w.u64(ckpt.book.size());
-    for (const workload::Request& q : ckpt.book) put_request(w, q);
-    writer.section(kSectionBook, std::move(w).take());
-  }
-  {
-    ByteWriter w;
     put_i32_vec(w, ckpt.inc.committed);
     put_model_snapshot(w, ckpt.inc.maa);
     put_model_snapshot(w, ckpt.inc.taa);
     writer.section(kSectionIncremental, std::move(w).take());
-  }
-  {
-    ByteWriter w;
-    put_i32_vec(w, ckpt.schedule.path_choice);
-    put_i32_vec(w, ckpt.plan.units);
-    put_profit(w, ckpt.profit);
-    put_solve_stats(w, ckpt.lp_stats);
-    writer.section(kSectionResult, std::move(w).take());
   }
   {
     ByteWriter w;
@@ -424,7 +407,7 @@ std::vector<std::uint8_t> encode(const OnlineCheckpoint& ckpt) {
     w.f64(ckpt.refunds.refunded);
     w.i32(ckpt.refunds.drops);
     put_fault_stats(w, ckpt.fault_stats);
-    put_solve_stats(w, ckpt.book_lp_stats);
+    put_solve_stats(w, ckpt.lp_stats);
     writer.section(kSectionFaults, std::move(w).take());
   }
   {
@@ -447,7 +430,6 @@ OnlineCheckpoint decode_online(const SnapshotReader& reader) {
     ByteReader r = section_reader(reader, kSectionMeta);
     r.u8();  // kind, checked above
     ckpt.config_fingerprint = r.u64();
-    ckpt.fault_mode = r.boolean();
     ckpt.boundary_time = r.f64();
     ckpt.next_arrival = r.u64();
     ckpt.next_fault_event = r.u64();
@@ -476,25 +458,10 @@ OnlineCheckpoint decode_online(const SnapshotReader& reader) {
     r.expect_done();
   }
   {
-    ByteReader r = section_reader(reader, kSectionBook);
-    const std::uint64_t n = r.length(r.u64());
-    ckpt.book.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) ckpt.book.push_back(get_request(r));
-    r.expect_done();
-  }
-  {
     ByteReader r = section_reader(reader, kSectionIncremental);
     ckpt.inc.committed = get_i32_vec(r);
     ckpt.inc.maa = get_model_snapshot(r);
     ckpt.inc.taa = get_model_snapshot(r);
-    r.expect_done();
-  }
-  {
-    ByteReader r = section_reader(reader, kSectionResult);
-    ckpt.schedule.path_choice = get_i32_vec(r);
-    ckpt.plan.units = get_i32_vec(r);
-    ckpt.profit = get_profit(r);
-    ckpt.lp_stats = get_solve_stats(r);
     r.expect_done();
   }
   {
@@ -526,7 +493,7 @@ OnlineCheckpoint decode_online(const SnapshotReader& reader) {
     ckpt.refunds.refunded = r.f64();
     ckpt.refunds.drops = r.i32();
     ckpt.fault_stats = get_fault_stats(r);
-    ckpt.book_lp_stats = get_solve_stats(r);
+    ckpt.lp_stats = get_solve_stats(r);
     r.expect_done();
   }
   {
@@ -681,8 +648,7 @@ void write_debug_json(const SnapshotReader& reader, std::ostream& os) {
     std::snprintf(fp, sizeof(fp), "0x%016llx",
                   static_cast<unsigned long long>(ckpt.config_fingerprint));
     os << "\"meta\":{\"config_fingerprint\":\"" << fp
-       << "\",\"fault_mode\":" << (ckpt.fault_mode ? "true" : "false")
-       << ",\"boundary_time\":";
+       << "\",\"boundary_time\":";
     json::write_number(os, ckpt.boundary_time);
     os << ",\"next_arrival\":" << ckpt.next_arrival
        << ",\"next_fault_event\":" << ckpt.next_fault_event
@@ -692,14 +658,10 @@ void write_debug_json(const SnapshotReader& reader, std::ostream& os) {
     os << ",\"total_arrivals\":" << ckpt.total_arrivals
        << ",\"total_accepted\":" << ckpt.total_accepted << '}';
     os << ",\"batches\":" << ckpt.batches.size()
-       << ",\"book_requests\":" << ckpt.book.size()
        << ",\"committed\":" << ckpt.inc.committed.size()
-       << ",\"entries\":" << ckpt.entries.size() << ",\"profit\":";
-    json::write_number(os, ckpt.profit.profit);
-    os << ",\"refunds\":";
+       << ",\"entries\":" << ckpt.entries.size() << ",\"refunds\":";
     json::write_number(os, ckpt.refunds.refunded);
-    os << ",\"lp_iterations\":" << (ckpt.lp_stats.iterations +
-                                    ckpt.book_lp_stats.iterations)
+    os << ",\"lp_iterations\":" << ckpt.lp_stats.iterations
        << ",\"cache_entries\":" << ckpt.cache.entries.size()
        << ",\"topology_epoch\":" << ckpt.topology.epoch
        << ",\"telemetry_counters\":" << ckpt.metrics.counters.size();

@@ -4,9 +4,9 @@
 //
 // Layering: persist sits below sim, so the simulators' private state
 // (CommittedBook entries, BatchRecord lists) is mirrored here as plain
-// structs; sim/online.cpp and sim/simulator.cpp convert through them.
-// Types that already live at or below core — workload::Request,
-// core::IncrementalState, core::Schedule, lp::SolveStats,
+// structs; sim/online.cpp, sim/faults.cpp and sim/simulator.cpp convert
+// through them.  Types that already live at or below core —
+// workload::Request, core::IncrementalState, lp::SolveStats,
 // net::PathCache::Dump, telemetry::MetricsSnapshot — are serialized
 // directly.
 //
@@ -34,7 +34,6 @@
 
 #include "core/accounting.h"
 #include "core/metis.h"
-#include "core/schedule.h"
 #include "net/paths.h"
 #include "persist/snapshot.h"
 #include "util/telemetry.h"
@@ -42,14 +41,13 @@
 
 namespace metis::persist {
 
-/// Section ids of the container (strictly increasing in every file).
+/// Section ids of the container (strictly increasing in every file).  Ids
+/// 3 and 5 are retired version-2 sections; do not reuse them.
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,         ///< kind, fingerprint, replay cursors
   kSectionBatches = 2,      ///< per-batch records (online)
-  kSectionBook = 3,         ///< arrival book (online, fault-free)
   kSectionIncremental = 4,  ///< committed prefix + LP warm-start snapshots
-  kSectionResult = 5,       ///< running schedule/plan/profit/lp aggregate
-  kSectionEntries = 6,      ///< CommittedBook entries (online, fault mode)
+  kSectionEntries = 6,      ///< CommittedBook entries (online)
   kSectionTopology = 7,     ///< mutated topology state + epoch
   kSectionFaults = 8,       ///< refund ledger + fault stats + book lp stats
   kSectionPathCache = 9,    ///< PathCache image
@@ -76,7 +74,7 @@ struct BatchState {
   lp::SolveStats lp_stats;
 };
 
-/// Mirror of one sim::CommittedBook entry (fault mode).
+/// Mirror of one sim::CommittedBook entry.
 struct BookEntryState {
   workload::Request request;
   int status = 0;  ///< 0 = pending, 1 = accepted, 2 = declined
@@ -114,7 +112,6 @@ struct TopologyState {
 struct OnlineCheckpoint {
   // --- meta / replay cursors -------------------------------------------
   std::uint64_t config_fingerprint = 0;  ///< OnlineAdmissionSimulator::config_fingerprint()
-  bool fault_mode = false;               ///< faults.rate > 0 replay
   double boundary_time = 0;              ///< the slot boundary (informational)
   std::uint64_t next_arrival = 0;        ///< arrivals consumed from the stream
   std::uint64_t next_fault_event = 0;    ///< fault events fired
@@ -126,25 +123,15 @@ struct OnlineCheckpoint {
 
   std::vector<BatchState> batches;
 
-  // --- fault-free state -------------------------------------------------
-  std::vector<workload::Request> book;  ///< every arrival so far, in order
-
-  core::IncrementalState inc;  ///< committed prefix + LP warm-start bases
-
-  // --- running result ---------------------------------------------------
-  core::Schedule schedule;
-  core::ChargingPlan plan;
-  core::ProfitBreakdown profit;
-  lp::SolveStats lp_stats;
-
-  // --- fault-mode state -------------------------------------------------
+  // --- sim::CommittedBook state (export_state / restore_state) ---------
   std::vector<BookEntryState> entries;
   TopologyState topology;
+  core::IncrementalState inc;  ///< committed prefix + LP warm-start bases
   core::RefundLedger refunds;
   FaultStatsImage fault_stats;
-  lp::SolveStats book_lp_stats;
-
+  lp::SolveStats lp_stats;  ///< LP work of every decide so far
   net::PathCache::Dump cache;
+
   telemetry::MetricsSnapshot metrics;
 };
 
@@ -193,7 +180,7 @@ MultiCycleCheckpoint load_multi_cycle(const std::string& path);
 CheckpointKind kind_of(const SnapshotReader& reader);
 
 /// Human-readable JSON rendering of any checkpoint container: meta fields,
-/// section ids/sizes/CRCs and the decoded headline numbers (profit,
+/// section ids/sizes/CRCs and the decoded headline numbers (refunds,
 /// accepted counts).  The debug export of the format — `ckpt_inspect dump`.
 void write_debug_json(const SnapshotReader& reader, std::ostream& os);
 

@@ -36,8 +36,10 @@ namespace metis::persist {
 inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
                                            'S', 'C', 'K', 'P'};
 /// Bumped whenever a codec's byte layout changes (version 2: the
-/// serialized lp::SolveStats lost its three pricing counters).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// serialized lp::SolveStats lost its three pricing counters; version 3:
+/// the online checkpoint lost its fault-free book and running-result
+/// sections and its replay-mode flag).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,
 /// truncation, out-of-order or duplicate sections, trailing bytes.

@@ -322,7 +322,11 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
   return attempt;
 }
 
-core::MetisResult CommittedBook::decide_pending(Rng& rng) {
+core::MetisResult CommittedBook::decide_pending(Rng& rng, bool warm_start) {
+  if (!warm_start) {
+    state_.maa.clear();
+    state_.taa.clear();
+  }
   // Pending requests the mutated WAN can no longer connect are declined
   // up-front (SpmInstance would reject the whole book otherwise); a victim
   // that became unreachable is a drop with refund.
@@ -559,6 +563,22 @@ core::ChargingPlan CommittedBook::plan() const {
   return core::charging_from_loads(accepted_loads());
 }
 
+core::Schedule CommittedBook::path_choices() {
+  core::Schedule schedule = core::Schedule::all_declined(size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& entry = entries_[i];
+    // Declined entries are never looked up: a node outage may have cut
+    // their endpoints off, and they hold no path to index.
+    if (entry.status != Status::Accepted) continue;
+    const std::vector<net::Path>& candidates =
+        cache_.paths(entry.request.src, entry.request.dst, config_.max_paths);
+    schedule.path_choice[i] = static_cast<int>(
+        std::find(candidates.begin(), candidates.end(), entry.path) -
+        candidates.begin());
+  }
+  return schedule;
+}
+
 std::vector<std::string> CommittedBook::validate() const {
   std::vector<std::string> out;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -639,7 +659,7 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
                       stats_.repairs,   stats_.victims,
                       stats_.dropped,   stats_.rerouted,
                       stats_.shed_rounds, stats_.surge_arrivals};
-  ckpt.book_lp_stats = lp_stats_;
+  ckpt.lp_stats = lp_stats_;
   ckpt.cache = cache_.dump();
 }
 
@@ -686,7 +706,7 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
                       ckpt.fault_stats.rerouted,
                       ckpt.fault_stats.shed_rounds,
                       ckpt.fault_stats.surge_arrivals};
-  lp_stats_ = ckpt.book_lp_stats;
+  lp_stats_ = ckpt.lp_stats;
   cache_.restore(ckpt.cache);
 }
 

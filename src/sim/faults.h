@@ -19,8 +19,9 @@
 //    exponential backoff, shedding the lowest-value commitments first.
 //
 // Everything here is deterministic in (seed, config) and independent of
-// thread count; with an empty fault stream the simulators never construct a
-// CommittedBook and their output is byte-identical to the fault-free build.
+// thread count.  The online simulator replays every stream through a
+// CommittedBook — a fault-free stream is the replay with an empty event
+// list; the multi-cycle simulator builds one only for a positive rate.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +61,8 @@ struct FaultEvent {
 };
 
 struct FaultConfig {
-  /// Mean fault events per slot (Poisson).  0 disables injection entirely —
-  /// the simulators then run their historical fault-free code paths.
+  /// Mean fault events per slot (Poisson).  0 disables injection entirely:
+  /// generate_fault_events returns an empty stream.
   double rate = 0;
   /// Relative weights of the five fault kinds (need not sum to 1).
   double weight_link_failure = 0.35;
@@ -164,7 +165,10 @@ class CommittedBook {
   /// After the solve, a deterministic shed pass enforces the mutated
   /// network's capacities exactly (randomized rounding may overshoot the
   /// LP's caps).  Newly accepted decisions become commitments.
-  core::MetisResult decide_pending(Rng& rng);
+  /// `warm_start` = false drops the LP basis snapshots of earlier decides
+  /// first, so this decide's first solves start cold (the warm-vs-cold
+  /// ablation; decisions are identical, only the simplex work moves).
+  core::MetisResult decide_pending(Rng& rng, bool warm_start = true);
 
   /// Replays one fault event: mutates the topology, marks victims
   /// (dropping or re-queuing them per the repair policy) and — when the
@@ -195,6 +199,13 @@ class CommittedBook {
   std::vector<net::Path> reserved_paths() const;
   /// The purchase implied by the accepted schedule (ceiled peak loads).
   core::ChargingPlan plan() const;
+  /// The accepted schedule as candidate indices: path_choice[i] is the
+  /// index of entry i's reserved path among its endpoint pair's max_paths
+  /// candidates on the current topology (looked up through the book's
+  /// PathCache), or the candidate count when the path is not among them —
+  /// SpmInstance's require_paths appends it there.  kDeclined for every
+  /// entry without a reservation.
+  core::Schedule path_choices();
 
   /// Feasibility oracle over the final state: rebuilds the compact accepted
   /// instance (reserved paths required), checks sim::check_schedule, plan
@@ -205,7 +216,7 @@ class CommittedBook {
   // --- checkpoint/restore (src/persist/) -------------------------------
   /// Copies the book's full mutable state — entries, mutated topology,
   /// refund ledger, fault/LP counters, warm-start snapshots, path cache —
-  /// into the checkpoint's fault-mode fields.
+  /// into the checkpoint.
   void export_state(persist::OnlineCheckpoint& ckpt) const;
   /// Rehydrates the book from a checkpoint taken by export_state against
   /// the same pristine topology (shape pinned by the config fingerprint).

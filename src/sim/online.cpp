@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,81 +13,11 @@
 namespace metis::sim {
 namespace {
 
-// Rng::split stream ids of the fault replay's extra draw sequences,
+// Rng::split stream ids of the replay's fault-driven draw sequences,
 // disjoint from the per-batch decide streams (small indices) and the fault
 // event stream (FaultConfig::stream).
 constexpr std::uint64_t kRepairStream = 0x0fa2;
 constexpr std::uint64_t kSurgeStream = 0x0fa3;
-
-/// Batch mechanics shared by the fault-free and fault replay loops: the
-/// max_batch_delay deadline clock and the per-flush frame — batch index,
-/// index-addressed per-batch RNG stream, decide timing and telemetry.  The
-/// decide itself is the caller's lambda, which fills rec.accepted /
-/// rec.profit / rec.lp_stats.  The two loops used to duplicate all of this
-/// with drifted emptiness predicates (`book.size() == committed.size()` vs
-/// `pending_count() == 0`); one helper keeps the replay-clock contract —
-/// deadline flushes fire *before* the event that reveals the deadline
-/// passed, since the clock only advances on events — in a single place.
-class BatchReplay {
- public:
-  BatchReplay(std::uint64_t seed, double max_batch_delay,
-              std::vector<BatchRecord>& batches, std::function<int()> pending,
-              std::function<void(Rng&, BatchRecord&)> decide)
-      : seed_(seed),
-        max_delay_(max_batch_delay),
-        batches_(batches),
-        pending_(std::move(pending)),
-        decide_(std::move(decide)) {}
-
-  /// Decides everything queued, appending one BatchRecord.
-  void flush(double flush_time) {
-    METIS_SPAN("online.batch");
-    BatchRecord rec;
-    rec.batch = static_cast<int>(batches_.size());
-    rec.arrivals = pending_();
-    rec.flush_time = flush_time;
-    const telemetry::Stopwatch decide_timer;
-    // Index-addressed per-batch stream: the draw sequence of batch b does
-    // not depend on how many batches preceded it, so sweeps over batch
-    // sizes stay deterministic for any thread count.
-    Rng rng = Rng(seed_).split(static_cast<std::uint64_t>(rec.batch));
-    decide_(rng, rec);
-    rec.decide_ms = decide_timer.ms();
-    telemetry::observe("online.decide_ms", rec.decide_ms);
-    telemetry::count("online.batches");
-    telemetry::gauge_set("online.profit", rec.profit);
-    batches_.push_back(std::move(rec));
-  }
-
-  /// Fires the deadline flush owed before an event at `time` advances the
-  /// clock: the oldest queued request must not wait past max_batch_delay.
-  void deadline_flush_before(double time) {
-    if (pending_() > 0 && max_delay_ > 0 &&
-        time > oldest_queued_ + max_delay_) {
-      flush(oldest_queued_ + max_delay_);
-    }
-  }
-
-  /// Notes an arrival at `time` about to join the queue (call before
-  /// enqueueing): a previously empty queue restarts the deadline clock.
-  void note_arrival(double time) {
-    if (pending_() == 0) oldest_queued_ = time;
-  }
-
-  /// The deadline clock, saved into checkpoints: together with the queued
-  /// requests it is all the state a resumed replay needs to refire an owed
-  /// deadline flush at the identical flush time and batch index.
-  double oldest_queued() const { return oldest_queued_; }
-  void restore_oldest_queued(double t) { oldest_queued_ = t; }
-
- private:
-  std::uint64_t seed_;
-  double max_delay_;
-  std::vector<BatchRecord>& batches_;
-  std::function<int()> pending_;
-  std::function<void(Rng&, BatchRecord&)> decide_;
-  double oldest_queued_ = 0;
-};
 
 // --- checkpoint plumbing --------------------------------------------------
 
@@ -125,11 +54,9 @@ std::string hex_fingerprint(std::uint64_t fp) {
 
 /// Loads and vets a resume snapshot: the config fingerprint must match
 /// (the arrival/fault streams are derived from the config, so a different
-/// config would silently diverge, not resume) and the snapshot must come
-/// from the same replay mode this run is about to execute.
+/// config would silently diverge, not resume).
 persist::OnlineCheckpoint load_resume(const std::string& path,
-                                      std::uint64_t fingerprint,
-                                      bool fault_mode) {
+                                      std::uint64_t fingerprint) {
   persist::OnlineCheckpoint ckpt = persist::load_online(path);
   if (ckpt.config_fingerprint != fingerprint) {
     throw std::runtime_error(
@@ -137,13 +64,6 @@ persist::OnlineCheckpoint load_resume(const std::string& path,
         hex_fingerprint(ckpt.config_fingerprint) + ", current config " +
         hex_fingerprint(fingerprint) +
         "): '" + path + "' was taken under a different configuration");
-  }
-  if (ckpt.fault_mode != fault_mode) {
-    throw std::runtime_error(
-        std::string("online resume: snapshot '") + path + "' is from a " +
-        (ckpt.fault_mode ? "fault-mode" : "fault-free") +
-        " replay but the current config selects the " +
-        (fault_mode ? "fault-mode" : "fault-free") + " replay");
   }
   telemetry::Registry::global().restore(ckpt.metrics);
   return ckpt;
@@ -189,7 +109,6 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(config_.batch_size);
   fp.mix(config_.max_batch_delay);
   fp.mix(config_.cross_batch_warm_start);
-  fp.mix(config_.reuse_path_cache);
   const core::MetisOptions& m = config_.metis;
   fp.mix(m.theta);
   fp.mix(m.trim_units);
@@ -264,149 +183,12 @@ core::MetisResult OnlineAdmissionSimulator::offline_oracle() const {
 }
 
 OnlineResult OnlineAdmissionSimulator::run() const {
-  // Fault-free replay stays byte-identical to the pre-fault-layer code: the
-  // fault path is a separate function entered only on a positive rate.
-  if (config_.faults.rate > 0) return run_with_faults();
-  METIS_SPAN("online.run");
-  const net::Topology topo = make_network(config_.base);
-  const std::vector<workload::Arrival> stream = arrivals();
-
-  net::PathCache cache(topo);
-  net::PathCache* cache_ptr = config_.reuse_path_cache ? &cache : nullptr;
-
-  OnlineResult result;
-  result.total_arrivals = static_cast<int>(stream.size());
-  result.schedule = core::Schedule::all_declined(0);
-  result.plan = core::ChargingPlan::none(topo.num_edges());
-
-  std::vector<workload::Request> book;  // every arrival so far, in order
-  book.reserve(stream.size());
-  core::IncrementalState state;
-
-  const auto pending = [&] {
-    return static_cast<int>(book.size()) -
-           static_cast<int>(state.committed.size());
-  };
-  BatchReplay replay(
-      config_.base.seed, config_.max_batch_delay, result.batches, pending,
-      [&](Rng& rng, BatchRecord& rec) {
-        const int committed_before = static_cast<int>(state.committed.size());
-        core::SpmInstance instance(topo, book, config_.base.instance,
-                                   cache_ptr);
-        if (!config_.cross_batch_warm_start) {
-          state.maa.clear();
-          state.taa.clear();
-        }
-        const core::MetisResult decided =
-            core::run_metis_incremental(instance, state, rng, config_.metis);
-
-        // Commit this batch's decisions: accepted stays accepted, declined
-        // is final.  The committed prefix then covers the whole book.
-        for (int i = committed_before; i < static_cast<int>(book.size());
-             ++i) {
-          const int choice = decided.schedule.path_choice[i];
-          state.committed.push_back(choice);
-          if (choice != core::kDeclined) ++rec.accepted;
-        }
-        result.total_accepted += rec.accepted;
-        rec.profit = decided.best.profit;
-        rec.lp_stats = decided.lp_stats;
-        result.lp_stats += decided.lp_stats;
-        result.schedule = decided.schedule;
-        result.plan = decided.plan;
-        result.profit = decided.best;
-      });
-
-  // --- checkpoint/resume ------------------------------------------------
-  const std::uint64_t fingerprint = config_fingerprint();
-  std::size_t start_arrival = 0;
-  double resumed_boundary = 0;
-  if (!config_.resume_path.empty()) {
-    const persist::OnlineCheckpoint ckpt =
-        load_resume(config_.resume_path, fingerprint, /*fault_mode=*/false);
-    if (ckpt.next_arrival > stream.size()) {
-      throw std::runtime_error(
-          "online resume: snapshot claims " +
-          std::to_string(ckpt.next_arrival) +
-          " arrivals consumed but the stream has only " +
-          std::to_string(stream.size()));
-    }
-    book = ckpt.book;
-    state = ckpt.inc;
-    result.batches = from_batch_states(ckpt.batches);
-    result.total_accepted = ckpt.total_accepted;
-    result.schedule = ckpt.schedule;
-    result.plan = ckpt.plan;
-    result.profit = ckpt.profit;
-    result.lp_stats = ckpt.lp_stats;
-    replay.restore_oldest_queued(ckpt.oldest_queued);
-    cache.restore(ckpt.cache);
-    start_arrival = static_cast<std::size_t>(ckpt.next_arrival);
-    resumed_boundary = ckpt.boundary_time;
-  }
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
-  int next_boundary = config_.checkpoint_every;
-  while (checkpointing && next_boundary <= resumed_boundary) {
-    next_boundary += config_.checkpoint_every;
-  }
-  std::size_t arrivals_consumed = start_arrival;
-  // Writes every boundary <= `upcoming` still owed.  Called *before* the
-  // item at `upcoming` is processed — and before any deadline flush it
-  // reveals — so the snapshot holds exactly the items with time < boundary
-  // (an owed flush refires identically after resume: the queue and the
-  // deadline clock are both in the snapshot).
-  const auto maybe_checkpoint = [&](double upcoming) {
-    if (!checkpointing) return;
-    while (next_boundary < config_.base.instance.num_slots &&
-           upcoming >= next_boundary) {
-      persist::OnlineCheckpoint ckpt;
-      ckpt.config_fingerprint = fingerprint;
-      ckpt.fault_mode = false;
-      ckpt.next_arrival = arrivals_consumed;
-      ckpt.oldest_queued = replay.oldest_queued();
-      ckpt.total_arrivals = result.total_arrivals;
-      ckpt.total_accepted = result.total_accepted;
-      ckpt.batches = to_batch_states(result.batches);
-      ckpt.book = book;
-      ckpt.inc = state;
-      ckpt.schedule = result.schedule;
-      ckpt.plan = result.plan;
-      ckpt.profit = result.profit;
-      ckpt.lp_stats = result.lp_stats;
-      ckpt.cache = cache.dump();
-      write_checkpoint(config_, ckpt, next_boundary);
-      next_boundary += config_.checkpoint_every;
-    }
-  };
-
-  // Arrival-ordered replay: only arrivals advance the clock here.
-  for (std::size_t i = start_arrival; i < stream.size(); ++i) {
-    const workload::Arrival& a = stream[i];
-    maybe_checkpoint(a.arrival_time);
-    replay.deadline_flush_before(a.arrival_time);
-    replay.note_arrival(a.arrival_time);
-    book.push_back(a.request);
-    arrivals_consumed = i + 1;
-    if (pending() >= config_.batch_size) replay.flush(a.arrival_time);
-  }
-  maybe_checkpoint(static_cast<double>(config_.base.instance.num_slots));
-  // End of cycle: whatever is still queued gets decided at the cycle edge.
-  if (pending() > 0) {
-    replay.flush(static_cast<double>(config_.base.instance.num_slots));
-  }
-
-  result.path_cache_hits = cache.hits();
-  result.path_cache_misses = cache.misses();
-  result.net_profit = result.profit.profit;  // no faults, nothing refunded
-  return result;
-}
-
-OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
   METIS_SPAN("online.run");
   const net::Topology topo = make_network(config_.base);
   const std::vector<workload::Arrival> stream = arrivals();
   const int num_slots = config_.base.instance.num_slots;
+  // Empty at rate 0: then only arrivals and deadline flushes drive the
+  // clock.
   const std::vector<FaultEvent> events = generate_fault_events(
       config_.faults, topo, num_slots, Rng(config_.base.seed));
 
@@ -428,19 +210,52 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
   result.fault_events = events;
   result.total_arrivals = static_cast<int>(stream.size());
 
-  // Same per-batch stream ids and deadline clock as the fault-free replay.
-  BatchReplay replay(
-      config_.base.seed, config_.max_batch_delay, result.batches,
-      [&] { return book.pending_count(); },
-      [&](Rng& rng, BatchRecord& rec) {
-        const int accepted_before = book.accepted_count();
-        const core::MetisResult decided = book.decide_pending(rng);
-        // Net change: a repair shed inside the decide can make this
-        // negative.
-        rec.accepted = book.accepted_count() - accepted_before;
-        rec.profit = book.net_profit();
-        rec.lp_stats = decided.lp_stats;
-      });
+  // --- batch queue ------------------------------------------------------
+  // Deadline clock: arrival time of the oldest queued request.  Together
+  // with the queued requests it is all the state a resumed replay needs to
+  // refire an owed deadline flush at the identical time and batch index.
+  double oldest_queued = 0;
+  // Decides everything queued, appending one BatchRecord.
+  const auto flush = [&](double flush_time) {
+    METIS_SPAN("online.batch");
+    BatchRecord rec;
+    rec.batch = static_cast<int>(result.batches.size());
+    rec.arrivals = book.pending_count();
+    rec.flush_time = flush_time;
+    const telemetry::Stopwatch decide_timer;
+    // Index-addressed per-batch stream: the draw sequence of batch b does
+    // not depend on how many batches preceded it, so sweeps over batch
+    // sizes stay deterministic for any thread count.
+    Rng rng =
+        Rng(config_.base.seed).split(static_cast<std::uint64_t>(rec.batch));
+    const int accepted_before = book.accepted_count();
+    const core::MetisResult decided =
+        book.decide_pending(rng, config_.cross_batch_warm_start);
+    // Net change: a repair shed inside the decide can make this negative.
+    rec.accepted = book.accepted_count() - accepted_before;
+    rec.profit = book.net_profit();
+    rec.lp_stats = decided.lp_stats;
+    rec.decide_ms = decide_timer.ms();
+    telemetry::observe("online.decide_ms", rec.decide_ms);
+    telemetry::count("online.batches");
+    telemetry::gauge_set("online.profit", rec.profit);
+    result.batches.push_back(std::move(rec));
+  };
+  // The deadline flush owed before an item at `time` advances the clock:
+  // the oldest queued request must not wait past max_batch_delay.  It fires
+  // *before* the item that reveals the deadline passed, since the clock
+  // only advances on items.
+  const auto deadline_flush_before = [&](double time) {
+    if (book.pending_count() > 0 && config_.max_batch_delay > 0 &&
+        time > oldest_queued + config_.max_batch_delay) {
+      flush(oldest_queued + config_.max_batch_delay);
+    }
+  };
+  // Call before queueing an arrival at `time`: a previously empty queue
+  // restarts the deadline clock.
+  const auto note_arrival = [&](double time) {
+    if (book.pending_count() == 0) oldest_queued = time;
+  };
 
   // Merged replay: both arrivals and fault events advance the clock.
   std::size_t next_event = 0;
@@ -453,7 +268,7 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
   double resumed_boundary = 0;
   if (!config_.resume_path.empty()) {
     const persist::OnlineCheckpoint ckpt =
-        load_resume(config_.resume_path, fingerprint, /*fault_mode=*/true);
+        load_resume(config_.resume_path, fingerprint);
     if (ckpt.next_arrival > stream.size() ||
         ckpt.next_fault_event > events.size()) {
       throw std::runtime_error(
@@ -469,7 +284,7 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
     next_event = static_cast<std::size_t>(ckpt.next_fault_event);
     repair_index = static_cast<int>(ckpt.repair_index);
     surge_index = static_cast<int>(ckpt.surge_index);
-    replay.restore_oldest_queued(ckpt.oldest_queued);
+    oldest_queued = ckpt.oldest_queued;
     start_arrival = static_cast<std::size_t>(ckpt.next_arrival);
     resumed_boundary = ckpt.boundary_time;
   }
@@ -480,20 +295,21 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
     next_boundary += config_.checkpoint_every;
   }
   std::size_t arrivals_consumed = start_arrival;
-  // Same placement contract as the fault-free replay: called before the
-  // item (arrival *or* fault event) at `upcoming` fires, and before the
-  // deadline flush that item reveals.
+  // Writes every boundary <= `upcoming` still owed.  Called *before* the
+  // item (arrival or fault event) at `upcoming` fires — and before any
+  // deadline flush it reveals — so the snapshot holds exactly the items
+  // with time < boundary (an owed flush refires identically after resume:
+  // the queue and the deadline clock are both in the snapshot).
   const auto maybe_checkpoint = [&](double upcoming) {
     if (!checkpointing) return;
     while (next_boundary < num_slots && upcoming >= next_boundary) {
       persist::OnlineCheckpoint ckpt;
       ckpt.config_fingerprint = fingerprint;
-      ckpt.fault_mode = true;
       ckpt.next_arrival = arrivals_consumed;
       ckpt.next_fault_event = next_event;
       ckpt.repair_index = repair_index;
       ckpt.surge_index = surge_index;
-      ckpt.oldest_queued = replay.oldest_queued();
+      ckpt.oldest_queued = oldest_queued;
       ckpt.total_arrivals = result.total_arrivals;
       ckpt.total_accepted = book.accepted_count();
       ckpt.batches = to_batch_states(result.batches);
@@ -514,10 +330,10 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
           std::min(static_cast<int>(std::floor(event.time)), num_slots - 1);
       const std::vector<workload::Request> extra =
           generator.generate_at(slot, event.surge_arrivals, surge_rng);
-      replay.note_arrival(event.time);
+      note_arrival(event.time);
       for (const workload::Request& r : extra) book.add_pending(r);
       result.total_arrivals += static_cast<int>(extra.size());
-      if (book.pending_count() >= config_.batch_size) replay.flush(event.time);
+      if (book.pending_count() >= config_.batch_size) flush(event.time);
       return;
     }
     // One repair stream index per network event whether or not a repair
@@ -530,41 +346,40 @@ OnlineResult OnlineAdmissionSimulator::run_with_faults() const {
   const auto advance_to = [&](double time) {
     while (next_event < events.size() && events[next_event].time <= time) {
       maybe_checkpoint(events[next_event].time);
-      replay.deadline_flush_before(events[next_event].time);
+      deadline_flush_before(events[next_event].time);
       fire(events[next_event]);
       ++next_event;
     }
     maybe_checkpoint(time);
-    replay.deadline_flush_before(time);
+    deadline_flush_before(time);
   };
 
   for (std::size_t i = start_arrival; i < stream.size(); ++i) {
     const workload::Arrival& a = stream[i];
     advance_to(a.arrival_time);
-    replay.note_arrival(a.arrival_time);
+    note_arrival(a.arrival_time);
     book.add_pending(a.request);
     arrivals_consumed = i + 1;
-    if (book.pending_count() >= config_.batch_size) replay.flush(a.arrival_time);
+    if (book.pending_count() >= config_.batch_size) flush(a.arrival_time);
   }
+  // End of cycle: a deadline that fell due before the cycle edge fires at
+  // that deadline; whatever is still queued is decided at the edge.
   advance_to(static_cast<double>(num_slots));
-  if (book.pending_count() > 0) replay.flush(static_cast<double>(num_slots));
+  if (book.pending_count() > 0) flush(static_cast<double>(num_slots));
 
   // The survivability contract: the final book must be feasible on the
   // mutated network — reservations only on live edges, purchases within
   // shrunken capacities, schedule covered by the plan.
   const std::vector<std::string> violations = book.validate();
   if (!violations.empty()) {
-    throw std::runtime_error("online fault replay: repaired book invalid: " +
+    throw std::runtime_error("online replay: committed book invalid: " +
                              violations.front());
   }
 
   result.total_accepted = book.accepted_count();
   result.fault_book = book.requests();
   result.fault_paths = book.reserved_paths();
-  result.schedule = core::Schedule::all_declined(book.size());
-  for (std::size_t i = 0; i < result.fault_paths.size(); ++i) {
-    if (!result.fault_paths[i].empty()) result.schedule.path_choice[i] = 0;
-  }
+  result.schedule = book.path_choices();
   result.plan = book.plan();
   result.profit = book.evaluate();
   result.refunds = book.refunds();

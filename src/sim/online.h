@@ -8,11 +8,14 @@
 //   1. draws a within-cycle arrival stream (workload::Arrival, timestamped),
 //   2. queues arrivals into batches — flushed when `batch_size` requests
 //      are waiting or the oldest has waited `max_batch_delay` slots,
-//   3. re-decides each batch with core::run_metis_incremental, pinning all
-//      previously committed requests (the core::IncrementalState carries
-//      the acceptance set, path choices, and the last optimal LP bases for
-//      cross-batch warm starts via lp/basis_lift.h),
-//   4. reuses one net::PathCache across all batch instances.
+//   3. re-decides each batch through a sim::CommittedBook, which runs
+//      core::run_metis_incremental with every committed request pinned on
+//      its reserved path (the book's core::IncrementalState carries the
+//      last optimal LP bases for cross-batch warm starts via
+//      lp/basis_lift.h, and one net::PathCache serves every batch),
+//   4. interleaves the seeded fault stream (sim/faults.h) with the
+//      arrivals — empty at fault rate 0, so a fault-free stream is the same
+//      replay with only arrivals and deadline flushes driving the clock.
 //
 // batch_size >= the whole stream collapses to a single batch whose decision
 // is bit-identical to the offline run_metis over the same book — the
@@ -54,14 +57,10 @@ struct OnlineConfig {
   /// warm-vs-cold simplex iterations.  Decisions are identical either way;
   /// only the iteration counts move.
   bool cross_batch_warm_start = true;
-  /// Share one net::PathCache across batch instances (identical paths,
-  /// fewer Yen runs).
-  bool reuse_path_cache = true;
   /// Fault injection (sim/faults.h).  faults.rate == 0 — the default —
-  /// disables injection entirely: run() then executes the historical
-  /// fault-free replay, byte-identical to builds without the fault layer.
-  /// With a positive rate the replay interleaves the seeded fault stream
-  /// with the arrival stream and repairs through a CommittedBook.
+  /// yields an empty fault stream.  With a positive rate the replay
+  /// interleaves the seeded fault stream with the arrival stream and the
+  /// book repairs victims per the repair policy.
   FaultConfig faults;
   /// Victim disposition of the fault replay (drop vs reroute).
   RepairPolicy repair_policy = RepairPolicy::Reroute;
@@ -93,7 +92,7 @@ struct BatchRecord {
   int batch = 0;          ///< 0-based flush index
   int arrivals = 0;       ///< requests decided in this batch
   double flush_time = 0;  ///< slot time at which the batch was decided
-  int accepted = 0;       ///< newly accepted (of this batch's arrivals)
+  int accepted = 0;       ///< net change in accepted requests (< 0 if shed)
   double profit = 0;      ///< committed-book profit after this batch
   double decide_ms = 0;   ///< wall clock of the re-decide (not deterministic)
   lp::SolveStats lp_stats;  ///< simplex work, incl. warm/cold start counts
@@ -103,23 +102,23 @@ struct OnlineResult {
   std::vector<BatchRecord> batches;
   int total_arrivals = 0;
   int total_accepted = 0;
-  /// Final committed decision over the whole stream (arrival order) and
-  /// its evaluation — comparable to a MetisResult on the same book.  In
-  /// fault mode candidate-path indices are not meaningful (the topology
-  /// mutated mid-cycle): path_choice[i] is 0 for an accepted request —
-  /// whose concrete reserved path is fault_paths[i] — and kDeclined
-  /// otherwise.
+  /// Final committed decision over the whole book (fault_book order) and
+  /// its evaluation — comparable to a MetisResult on the same book.
+  /// path_choice[i] is the index of fault_paths[i] among request i's
+  /// max_paths candidates on the final topology, or the candidate count
+  /// when the reserved path is not among them (SpmInstance's require_paths
+  /// appends it there); kDeclined for a declined request.  At fault rate 0
+  /// the indices address the whole-stream SpmInstance directly.
   core::Schedule schedule;
   core::ChargingPlan plan;
   core::ProfitBreakdown profit;
-  /// Aggregate LP work across every batch (sum of batch lp_stats).
+  /// Aggregate LP work of every batch and fault-repair decide.
   lp::SolveStats lp_stats;
   std::size_t path_cache_hits = 0;
   std::size_t path_cache_misses = 0;
-  /// Entries flushed by topology mutations (fault mode only).
+  /// Entries flushed by topology mutations (0 without faults).
   std::size_t path_cache_stale = 0;
-  // --- fault mode extras (empty / zero in fault-free runs) --------------
-  /// The injected fault stream, in replay order.
+  /// The injected fault stream, in replay order (empty at rate 0).
   std::vector<FaultEvent> fault_events;
   FaultStats fault_stats;
   /// SLA refunds paid for revoked commitments.
@@ -129,6 +128,7 @@ struct OnlineResult {
   double net_profit = 0;
   /// Every request of the stream (arrivals + surge extras, decision order)
   /// and the reserved path of each accepted one (empty = declined).
+  /// Filled on every run.
   std::vector<workload::Request> fault_book;
   std::vector<net::Path> fault_paths;
 };
@@ -143,8 +143,9 @@ class OnlineAdmissionSimulator {
   /// and the "online.decide_ms" histogram per batch.  With
   /// config.faults.rate > 0 the seeded fault stream is interleaved with the
   /// arrivals: faults mutate the topology, victims are repaired per the
-  /// repair policy, surges add extra arrivals, and the final book is
-  /// validated against the mutated network (throws on any violation).
+  /// repair policy and surges add extra arrivals.  The final book is
+  /// validated against the (possibly mutated) network; throws on any
+  /// violation.
   OnlineResult run() const;
 
   /// The full arrival stream the replay will see (deterministic in
@@ -166,8 +167,6 @@ class OnlineAdmissionSimulator {
 
  private:
   double arrival_rate() const;
-  /// The fault-mode replay (run() dispatches here when faults.rate > 0).
-  OnlineResult run_with_faults() const;
 
   OnlineConfig config_;
 };

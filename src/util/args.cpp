@@ -1,5 +1,7 @@
 #include "util/args.h"
 
+#include <exception>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -95,6 +97,17 @@ std::string ArgParser::usage(const std::string& program_description) const {
     os << "  --" << name << " (default: " << def << ")\n";
   }
   return os.str();
+}
+
+int run_guarded(int argc, char** argv, int (*body)(int, char**)) {
+  std::string program = argc > 0 && argv[0] != nullptr ? argv[0] : "metis";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace metis

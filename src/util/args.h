@@ -1,7 +1,9 @@
-// Minimal command-line flag parsing for the example binaries.
+// Minimal command-line flag parsing for the example and bench binaries.
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches.
-// Unknown flags raise an error so typos are caught immediately.
+// Unknown flags raise an error so typos are caught immediately; mains
+// wrapped in run_guarded report it (and any other escaping exception) as a
+// diagnostic with exit code 2.
 #pragma once
 
 #include <map>
@@ -36,5 +38,11 @@ class ArgParser {
   std::vector<std::pair<std::string, std::string>> declared_;  // name, default
   bool help_ = false;
 };
+
+/// Runs a program's main body and turns any exception escaping it — an
+/// unknown or malformed flag, an unreadable or corrupt snapshot — into a
+/// one-line diagnostic "<program>: <what>" on stderr and exit code 2,
+/// instead of std::terminate's abort.
+int run_guarded(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace metis

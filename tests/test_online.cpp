@@ -5,16 +5,20 @@
 //   * one batch == offline Metis, bit for bit (same RNG stream, same LP
 //     bytes, same control flow),
 //   * commitments are final — later batches never flip an earlier decision,
-//   * warm starts and path caching are pure accelerations (decisions are
+//   * cross-batch warm starts are a pure acceleration (decisions are
 //     identical with them off),
+//   * the committed schedule indexes each request's candidate paths, so
+//     it reads against the whole-stream instance like an offline one,
 //   * the replay is deterministic for any rounding thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
 
 #include "core/metis.h"
+#include "net/paths.h"
 #include "sim/online.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -124,13 +128,12 @@ TEST(OnlineAdmission, EmptyCommitmentsReduceToPlainMetis) {
   EXPECT_EQ(plain.lp_stats.iterations, incremental.lp_stats.iterations);
 }
 
-TEST(OnlineAdmission, WarmStartsAndPathCacheNeverChangeTheDecision) {
+TEST(OnlineAdmission, WarmStartsNeverChangeTheDecision) {
   OnlineConfig warm_config = small_config(13, 5);
   const OnlineResult warm = OnlineAdmissionSimulator(warm_config).run();
 
   OnlineConfig cold_config = warm_config;
   cold_config.cross_batch_warm_start = false;
-  cold_config.reuse_path_cache = false;
   const OnlineResult cold = OnlineAdmissionSimulator(cold_config).run();
 
   ASSERT_GT(warm.batches.size(), 1u);
@@ -142,11 +145,9 @@ TEST(OnlineAdmission, WarmStartsAndPathCacheNeverChangeTheDecision) {
     EXPECT_EQ(warm.batches[b].accepted, cold.batches[b].accepted);
     EXPECT_EQ(warm.batches[b].profit, cold.batches[b].profit);
   }
-  // The accelerations actually engaged: cache hits after batch one, and at
-  // least as many accepted warm starts as the cold configuration.
-  EXPECT_GT(warm.path_cache_hits, 0u);
-  EXPECT_EQ(cold.path_cache_hits + cold.path_cache_misses, 0u);
-  EXPECT_GE(warm.lp_stats.warm_starts, cold.lp_stats.warm_starts);
+  // The acceleration actually engaged: more accepted warm starts than the
+  // cold configuration, whose batches start from empty LP snapshots.
+  EXPECT_GT(warm.lp_stats.warm_starts, cold.lp_stats.warm_starts);
 }
 
 TEST(OnlineAdmission, DeterministicForAnyRoundingThreadCount) {
@@ -177,12 +178,17 @@ TEST(OnlineAdmission, DeadlineFlushBoundsQueueingDelay) {
     ASSERT_GT(record.arrivals, 0);
     const double oldest = stream[covered].arrival_time;
     // Every batch but the cycle-end flush fires exactly at the deadline of
-    // its oldest queued request; no request waits longer than the delay.
+    // its oldest queued request; no request waits longer than the delay,
+    // and a deadline that falls due before the cycle edge is not held
+    // back to it.
     if (b + 1 < result.batches.size()) {
       EXPECT_NEAR(record.flush_time, oldest + config.max_batch_delay, 1e-9);
     }
-    EXPECT_LE(record.flush_time - oldest,
-              config.base.instance.num_slots + 1e-9);
+    EXPECT_LE(record.flush_time,
+              std::min(oldest + config.max_batch_delay,
+                       static_cast<double>(config.base.instance.num_slots)) +
+                  1e-9)
+        << "batch " << b;
     covered += record.arrivals;
   }
   EXPECT_EQ(covered, result.total_arrivals);
@@ -205,6 +211,88 @@ TEST(OnlineAdmission, ProfitIsEvaluatedOnTheCommittedBook) {
   EXPECT_EQ(result.profit.cost, check.cost);
   EXPECT_EQ(result.profit.profit, check.profit);
   EXPECT_EQ(result.total_accepted, result.schedule.num_accepted());
+}
+
+TEST(OnlineAdmission, ScheduleIndexesTheWholeStreamInstance) {
+  // Fault-free: path_choice[i] addresses request i's candidates on the
+  // whole-stream instance, and selects exactly the reserved path.
+  const OnlineAdmissionSimulator simulator(small_config(29, 4));
+  const OnlineResult result = simulator.run();
+  std::vector<workload::Request> book;
+  for (const auto& a : simulator.arrivals()) book.push_back(a.request);
+  const core::SpmInstance instance(make_network(simulator.config().base),
+                                   std::move(book),
+                                   simulator.config().base.instance);
+  ASSERT_EQ(result.fault_paths.size(),
+            static_cast<std::size_t>(instance.num_requests()));
+  ASSERT_EQ(result.schedule.path_choice.size(), result.fault_paths.size());
+  ASSERT_GT(result.total_accepted, 0);
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    const int j = result.schedule.path_choice[i];
+    if (j == core::kDeclined) {
+      EXPECT_TRUE(result.fault_paths[i].empty()) << "request " << i;
+      continue;
+    }
+    ASSERT_LT(j, static_cast<int>(instance.paths(i).size())) << "request " << i;
+    EXPECT_EQ(result.fault_paths[i], instance.paths(i)[j]) << "request " << i;
+  }
+}
+
+TEST(OnlineAdmission, FaultScheduleIndexesTheFinalTopology) {
+  // Under faults: path_choice[i] selects fault_paths[i] among request i's
+  // candidates on the final (mutated) topology, or sits one past them when
+  // the reserved path is no longer a candidate.
+  OnlineConfig config = small_config(31, 4);
+  config.base.network = Network::B4;
+  config.faults.rate = 0.6;
+  const OnlineAdmissionSimulator simulator(config);
+  const OnlineResult result = simulator.run();
+  ASSERT_FALSE(result.fault_events.empty());
+  ASSERT_GT(result.total_accepted, 0);
+
+  // Replays the events' effect on path search (enable flags and prices;
+  // capacities never change which paths are candidates).
+  net::Topology final_topo = make_network(config.base);
+  for (const FaultEvent& event : result.fault_events) {
+    switch (event.kind) {
+      case FaultKind::LinkFailure:
+        if (final_topo.edge_enabled(event.target)) {
+          final_topo.disable_edge(event.target);
+        }
+        break;
+      case FaultKind::NodeOutage:
+        if (final_topo.node_enabled(event.target)) {
+          final_topo.disable_node(event.target);
+        }
+        break;
+      case FaultKind::PriceShock:
+        final_topo.set_price(event.target, final_topo.edge(event.target).price *
+                                               event.magnitude);
+        break;
+      case FaultKind::LinkDegrade:
+      case FaultKind::DemandSurge:
+        break;
+    }
+  }
+
+  ASSERT_EQ(result.schedule.path_choice.size(), result.fault_book.size());
+  ASSERT_EQ(result.fault_paths.size(), result.fault_book.size());
+  int accepted = 0;
+  for (std::size_t i = 0; i < result.fault_book.size(); ++i) {
+    const int j = result.schedule.path_choice[i];
+    const net::Path& reserved = result.fault_paths[i];
+    if (j == core::kDeclined) {
+      EXPECT_TRUE(reserved.empty()) << "request " << i;
+      continue;
+    }
+    ++accepted;
+    const workload::Request& r = result.fault_book[i];
+    const std::vector<net::Path> candidates = net::k_shortest_paths(
+        final_topo, r.src, r.dst, config.base.instance.max_paths);
+    const auto it = std::find(candidates.begin(), candidates.end(), reserved);
+    EXPECT_EQ(j, static_cast<int>(it - candidates.begin())) << "request " << i;
+  }
+  EXPECT_EQ(accepted, result.total_accepted);
 }
 
 }  // namespace

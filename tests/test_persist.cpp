@@ -191,8 +191,8 @@ TEST(Snapshot, EveryFlippedByteIsDetected) {
 TEST(Snapshot, WrongVersionRejected) {
   // An older and a newer version are both unreadable, and the diagnostic
   // names the file's version and the one this build reads.
-  for (const std::uint32_t version :
-       {std::uint32_t{1}, persist::kSnapshotVersion + 1}) {
+  for (const std::uint32_t version : {std::uint32_t{1}, std::uint32_t{2},
+                                      persist::kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = sample_container();
     // Rewrite the version field (offset 8) and fix the header CRC up so
     // only the version check can reject it.
@@ -347,7 +347,6 @@ TEST(MetricsRestore, SnapshotRestoreRoundTrip) {
 persist::OnlineCheckpoint sample_online_checkpoint() {
   persist::OnlineCheckpoint ckpt;
   ckpt.config_fingerprint = 0x1122334455667788ULL;
-  ckpt.fault_mode = true;
   ckpt.boundary_time = 4;
   ckpt.next_arrival = 17;
   ckpt.next_fault_event = 3;
@@ -372,14 +371,7 @@ persist::OnlineCheckpoint sample_online_checkpoint() {
   req.end_slot = 3;
   req.rate = 2.5;
   req.value = 40;
-  ckpt.book.push_back(req);
   ckpt.inc.committed = {0, core::kDeclined};
-  ckpt.schedule.path_choice = {0, core::kDeclined};
-  ckpt.plan.units = {1, 0, 2};
-  ckpt.profit.revenue = 40;
-  ckpt.profit.cost = 10;
-  ckpt.profit.profit = 30;
-  ckpt.profit.accepted = 1;
   persist::BookEntryState entry;
   entry.request = req;
   entry.status = 1;
@@ -394,7 +386,7 @@ persist::OnlineCheckpoint sample_online_checkpoint() {
   ckpt.refunds.refunded = 5.5;
   ckpt.fault_stats.injected = 4;
   ckpt.fault_stats.dropped = 1;
-  ckpt.book_lp_stats.iterations = 200;
+  ckpt.lp_stats.iterations = 200;
   return ckpt;
 }
 
@@ -406,7 +398,6 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   const persist::OnlineCheckpoint back = persist::decode_online(reader);
 
   EXPECT_EQ(back.config_fingerprint, ckpt.config_fingerprint);
-  EXPECT_EQ(back.fault_mode, ckpt.fault_mode);
   EXPECT_EQ(back.boundary_time, ckpt.boundary_time);
   EXPECT_EQ(back.next_arrival, ckpt.next_arrival);
   EXPECT_EQ(back.next_fault_event, ckpt.next_fault_event);
@@ -416,13 +407,9 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   ASSERT_EQ(back.batches.size(), 1u);
   EXPECT_EQ(back.batches[0].profit, 123.5);
   EXPECT_EQ(back.batches[0].lp_stats.iterations, 77);
-  ASSERT_EQ(back.book.size(), 1u);
-  EXPECT_EQ(back.book[0].rate, 2.5);
   EXPECT_EQ(back.inc.committed, ckpt.inc.committed);
-  EXPECT_EQ(back.schedule.path_choice, ckpt.schedule.path_choice);
-  EXPECT_EQ(back.plan.units, ckpt.plan.units);
-  EXPECT_EQ(back.profit.profit, 30);
   ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].request.rate, 2.5);
   EXPECT_EQ(back.entries[0].status, 1);
   EXPECT_EQ(back.entries[0].path, (net::Path{{0, 2, 5}}));
   EXPECT_TRUE(back.entries[0].was_committed);
@@ -430,7 +417,7 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   EXPECT_EQ(back.topology.epoch, 12u);
   EXPECT_EQ(back.refunds.refunded, 5.5);
   EXPECT_EQ(back.fault_stats.injected, 4);
-  EXPECT_EQ(back.book_lp_stats.iterations, 200);
+  EXPECT_EQ(back.lp_stats.iterations, 200);
 
   // Re-encoding the decoded image is byte-identical: the codec is
   // canonical, which is what lets ckpt_inspect diff files bit for bit.
@@ -630,25 +617,6 @@ TEST(KillRestore, FingerprintMismatchRejected) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos);
   }
-  reset_registry();
-}
-
-TEST(KillRestore, ModeMismatchRejected) {
-  sim::OnlineConfig config = small_online_config(0);
-  config.checkpoint_every = 4;
-  config.checkpoint_path = tmp_path("mode_mismatch.ckpt");
-  (void)sim::OnlineAdmissionSimulator(config).run();
-
-  // Resuming a fault-free snapshot into a fault-mode run must be rejected
-  // (faults.rate is fingerprinted, so this surfaces as a fingerprint
-  // mismatch before the mode check can even be reached).
-  sim::OnlineConfig faulty = config;
-  faulty.checkpoint_every = 0;
-  faulty.checkpoint_path.clear();
-  faulty.faults.rate = 0.5;
-  faulty.resume_path = config.checkpoint_path;
-  EXPECT_THROW((void)sim::OnlineAdmissionSimulator(faulty).run(),
-               std::runtime_error);
   reset_registry();
 }
 
