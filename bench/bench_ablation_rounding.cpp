@@ -11,10 +11,14 @@
 #include "bench_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_ablation_rounding: "
+      "MAA rounding-trials ablation (best-of-N vs one rounding)",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   sim::Scenario scenario;
   scenario.network = sim::Network::B4;
   scenario.num_requests = 200;
@@ -42,7 +46,9 @@ int main(int argc, char** argv) {
     table.add_row({static_cast<long long>(trials), costs.mean(), costs.min(),
                    costs.max(), costs.mean() / lp_cost, elapsed_ms / 5});
   }
-  bench::emit(table, csv, "");
-  bench::write_telemetry(telemetry_path);
+  bench::emit(table, flags.csv, "");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

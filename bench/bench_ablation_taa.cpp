@@ -9,10 +9,13 @@
 #include "bench_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_ablation_taa: TAA augmentation and Amoeba comparator ablation",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   std::cout << "=== Ablation: TAA augmentation & Amoeba path diversity (B4) "
                "===\n\n";
   TablePrinter table({"requests", "caps", "TAA bare rev", "TAA+augment rev",
@@ -49,7 +52,9 @@ int main(int argc, char** argv) {
                      amoeba_multi.revenue, split.revenue});
     }
   }
-  bench::emit(table, csv, "");
-  bench::write_telemetry(telemetry_path);
+  bench::emit(table, flags.csv, "");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

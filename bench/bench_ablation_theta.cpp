@@ -11,10 +11,14 @@
 #include "bench_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_ablation_theta: "
+      "Metis alternation-loop (theta) and trim-unit ablation",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   sim::Scenario scenario;
   scenario.network = sim::Network::B4;
   scenario.num_requests = 200;
@@ -41,7 +45,7 @@ int main(int argc, char** argv) {
                    r_without.best.profit,
                    static_cast<long long>(r_with.best.accepted), with_ms});
   }
-  bench::emit(table, csv, "");
+  bench::emit(table, flags.csv, "");
   std::cout << "Guards = SP-updater cleanups (reroute local search + profit\n"
                "pruning + best-of-8 rounding).  Without them profit depends\n"
                "on theta sweeping bandwidth down; with them one loop is\n"
@@ -61,7 +65,9 @@ int main(int argc, char** argv) {
                         static_cast<long long>(result.best.accepted),
                         timer.ms()});
   }
-  bench::emit(trim_table, csv, "");
-  bench::write_telemetry(telemetry_path);
+  bench::emit(trim_table, flags.csv, "");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -16,10 +16,14 @@
 #include "sim/experiments.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_fig3_optimality: "
+      "Fig. 3: Metis vs OPT(SPM) vs OPT(RL-SPM) on SUB-B4",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   sim::Fig3Config config;
   config.sweep.request_counts = {20, 40, 60, 80, 100, 150, 200};
   config.sweep.seed = 1;
@@ -45,7 +49,7 @@ int main(int argc, char** argv) {
                         : 0.0,
                     std::string(r.opt_exact ? "yes" : "no")});
   }
-    bench::emit(profit, csv, "Fig. 3a: service profit");
+    bench::emit(profit, flags.csv, "Fig. 3a: service profit");
 
   TablePrinter accepted({"requests", "Metis", "OPT(SPM)", "OPT(RL-SPM)"});
   for (const auto& r : rows) {
@@ -54,7 +58,7 @@ int main(int argc, char** argv) {
                       static_cast<long long>(r.opt_spm.breakdown.accepted),
                       static_cast<long long>(r.opt_rl_spm.breakdown.accepted)});
   }
-    bench::emit(accepted, csv, "Fig. 3b: accepted requests");
+    bench::emit(accepted, flags.csv, "Fig. 3b: accepted requests");
 
   TablePrinter util({"requests", "Metis min/avg/max", "OPT(SPM) min/avg/max",
                      "OPT(RL-SPM) min/avg/max"});
@@ -68,14 +72,16 @@ int main(int argc, char** argv) {
                   fmt(r.metis.utilization), fmt(r.opt_spm.utilization),
                   fmt(r.opt_rl_spm.utilization)});
   }
-    bench::emit(util, csv, "Fig. 3c: link utilization");
+    bench::emit(util, flags.csv, "Fig. 3c: link utilization");
 
   TablePrinter timing({"requests", "Metis ms", "OPT(SPM) ms", "OPT(RL-SPM) ms"});
   for (const auto& r : rows) {
     timing.add_row({static_cast<long long>(r.num_requests), r.metis_ms,
                     r.opt_spm_ms, r.opt_rl_spm_ms});
   }
-    bench::emit(timing, csv, "Section V.B.1 runtime note (OPT >> Metis)");
-  bench::write_telemetry(telemetry_path);
+    bench::emit(timing, flags.csv, "Section V.B.1 runtime note (OPT >> Metis)");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

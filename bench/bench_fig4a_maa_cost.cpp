@@ -10,10 +10,13 @@
 #include "sim/experiments.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_fig4a_maa_cost: Fig. 4a: MAA vs MinCost service cost on B4",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   for (int trials : {1, 4}) {
     sim::Fig4aConfig config;
     config.sweep.request_counts = {100, 200, 300, 400};
@@ -31,8 +34,10 @@ int main(int argc, char** argv) {
       table.add_row({static_cast<long long>(r.num_requests), r.maa_cost,
                      r.mincost_cost, r.lp_lower_bound, r.mincost_over_maa});
     }
-    bench::emit(table, csv, "");
+    bench::emit(table, flags.csv, "");
   }
-  bench::write_telemetry(telemetry_path);
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

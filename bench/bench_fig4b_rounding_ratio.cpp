@@ -38,11 +38,13 @@ void run(metis::sim::Fig4bConfig config, metis::TablePrinter& table) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
-  const int threads = bench::threads_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_fig4b_rounding_ratio: Fig. 4b: randomized-rounding cost ratio",
+      /*parallel=*/true);
+  if (flags.help) return 0;
   TablePrinter table({"network", "requests", "trials", "reference",
                       "mean vs ILP", "p95 vs ILP", "max vs ILP",
                       "mean vs LP bound"});
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
     config.request_counts = {60, 100, 140};
     config.trials = 1000;
     config.seed = 1;
-    config.threads = threads;
+    config.threads = flags.threads;
     config.mip.time_limit_seconds = 15;
     config.mip.max_nodes = 200000;
     run(config, table);
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
     config.request_counts = {200, 300, 400};
     config.trials = 1000;
     config.seed = 1;
-    config.threads = threads;
+    config.threads = flags.threads;
     config.mip.time_limit_seconds = 15;
     config.mip.max_nodes = 100000;
     run(config, table);
@@ -71,9 +73,11 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Fig. 4b: randomized-rounding cost ratio (paper: < 1.2) "
                "===\n\n";
-  bench::emit(table, csv, "");
+  bench::emit(table, flags.csv, "");
   std::cout << "The true rounding/optimal ratio lies between the ILP and LP\n"
                "columns (equal to the ILP column when reference is exact).\n";
-  bench::write_telemetry(telemetry_path);
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -11,10 +11,14 @@
 #include "sim/experiments.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_fig4cd_taa_vs_amoeba: "
+      "Fig. 4c/4d: TAA vs Amoeba under uniform 100 Gbps links",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   sim::Fig4cdConfig config;
   config.sweep.request_counts = {200, 400, 600, 800, 1000};
   config.sweep.seed = 1;
@@ -32,7 +36,7 @@ int main(int argc, char** argv) {
                      r.amoeba_revenue > 0 ? r.taa_revenue / r.amoeba_revenue : 0.0,
                      r.lp_revenue_bound});
   }
-    bench::emit(revenue, csv, "Fig. 4c: service revenue");
+    bench::emit(revenue, flags.csv, "Fig. 4c: service revenue");
 
   TablePrinter accepted({"requests", "TAA accepted", "Amoeba accepted",
                          "TAA/Amoeba"});
@@ -42,7 +46,9 @@ int main(int argc, char** argv) {
                       r.amoeba_accepted > 0 ? r.taa_accepted / r.amoeba_accepted
                                             : 0.0});
   }
-    bench::emit(accepted, csv, "Fig. 4d: accepted requests");
-  bench::write_telemetry(telemetry_path);
+    bench::emit(accepted, flags.csv, "Fig. 4d: accepted requests");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

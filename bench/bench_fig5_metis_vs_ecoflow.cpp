@@ -9,10 +9,13 @@
 #include "sim/experiments.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace metis;
-  const bool csv = bench::csv_mode(argc, argv);
-  const std::string telemetry_path = bench::take_telemetry_json_arg(argc, argv);
+  const bench::TableFlags flags = bench::parse_table_flags(
+      argc, argv,
+      "bench_fig5_metis_vs_ecoflow: Fig. 5: Metis vs EcoFlow on B4",
+      /*parallel=*/false);
+  if (flags.help) return 0;
   sim::Fig5Config config;
   config.sweep.request_counts = {100, 150, 200, 250, 300};
   config.sweep.seed = 1;
@@ -31,7 +34,7 @@ int main(int argc, char** argv) {
                         ? r.metis.breakdown.profit / r.ecoflow.breakdown.profit
                         : 0.0});
   }
-    bench::emit(profit, csv, "Fig. 5a: service profit");
+    bench::emit(profit, flags.csv, "Fig. 5a: service profit");
 
   TablePrinter accepted({"requests", "Metis accepted", "EcoFlow accepted",
                          "EcoFlow/Metis"});
@@ -45,7 +48,7 @@ int main(int argc, char** argv) {
                    r.metis.breakdown.accepted
              : 0.0});
   }
-    bench::emit(accepted, csv, "Fig. 5b: accepted requests");
+    bench::emit(accepted, flags.csv, "Fig. 5b: accepted requests");
 
   TablePrinter util({"requests", "Metis avg util", "EcoFlow avg util",
                      "Metis/EcoFlow"});
@@ -56,7 +59,9 @@ int main(int argc, char** argv) {
                       ? r.metis.utilization.mean / r.ecoflow.utilization.mean
                       : 0.0});
   }
-    bench::emit(util, csv, "Fig. 5c: average link utilization");
-  bench::write_telemetry(telemetry_path);
+    bench::emit(util, flags.csv, "Fig. 5c: average link utilization");
+  bench::write_telemetry(flags.telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -177,8 +177,9 @@ BENCHMARK(BM_MetisAlternation_B4)
 }  // namespace
 
 // Custom main (instead of benchmark_main): `--telemetry-json` must be
-// stripped before benchmark::Initialize, which rejects unknown flags.
-int main(int argc, char** argv) {
+// stripped before benchmark::Initialize, which rejects unknown flags, and
+// run_guarded turns an unwritable telemetry path into exit code 2.
+int run(int argc, char** argv) {
   const std::string telemetry_path =
       metis::bench::take_telemetry_json_arg(argc, argv);
   benchmark::Initialize(&argc, argv);
@@ -188,3 +189,5 @@ int main(int argc, char** argv) {
   metis::bench::write_telemetry(telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

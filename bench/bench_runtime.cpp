@@ -128,8 +128,9 @@ BENCHMARK(BM_Taa_B4)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond
 
 // Custom main (instead of benchmark_main): `--telemetry-json` and
 // `--shards` must be stripped before benchmark::Initialize, which rejects
-// unknown flags.
-int main(int argc, char** argv) {
+// unknown flags, and run_guarded turns a malformed `--shards` value or an
+// unwritable telemetry path into exit code 2.
+int run(int argc, char** argv) {
   const std::string telemetry_path =
       metis::bench::take_telemetry_json_arg(argc, argv);
   g_shards = metis::bench::take_shards_arg(argc, argv);
@@ -140,3 +141,5 @@ int main(int argc, char** argv) {
   metis::bench::write_telemetry(telemetry_path);
   return 0;
 }
+
+int main(int argc, char** argv) { return metis::run_guarded(argc, argv, run); }

@@ -8,7 +8,6 @@
 // (counters, gauges, histograms, span tree) as JSON on exit.
 #pragma once
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -16,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/args.h"
 #include "util/json.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -27,26 +27,35 @@ namespace metis::bench {
 /// a policy or network name grows a quote or backslash.
 inline std::string json_str(std::string_view s) { return json::escaped(s); }
 
-inline bool csv_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) return true;
-  }
-  return false;
-}
+/// The flags every table bench takes, parsed through ArgParser: a
+/// malformed value or an undeclared flag throws, which run_guarded turns
+/// into a one-line diagnostic and exit code 2.
+struct TableFlags {
+  bool csv = false;            ///< `--csv`
+  std::string telemetry_path;  ///< `--telemetry-json <path>`
+  /// `--threads N`, declared only by parallelized benches (0 = all
+  /// hardware threads).  Thread count is a wall-clock knob only — the
+  /// determinism contract (util/parallel.h) guarantees identical output
+  /// for every value.
+  int threads = 0;
+  bool help = false;  ///< `--help` printed the usage; the bench should exit
+};
 
-/// Parses `--threads N` / `--threads=N`; returns 0 (all hardware threads)
-/// when absent.  Thread count is a wall-clock knob only — the determinism
-/// contract (util/parallel.h) guarantees identical output for every value.
-inline int threads_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      return std::atoi(argv[i] + 10);
-    }
+inline TableFlags parse_table_flags(int argc, char** argv,
+                                    const std::string& description,
+                                    bool parallel) {
+  ArgParser args(argc, argv);
+  TableFlags flags;
+  flags.csv = args.get_bool("csv", false);
+  flags.telemetry_path = args.get("telemetry-json", "");
+  if (parallel) flags.threads = args.get_int("threads", 0);
+  flags.help = args.help_requested();
+  if (flags.help) {
+    std::cout << args.usage(description);
+  } else {
+    args.finish();
   }
-  return 0;
+  return flags;
 }
 
 /// Parses and REMOVES `--shards N` / `--shards=N` from argv; returns 1
@@ -58,9 +67,9 @@ inline int take_shards_arg(int& argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = ArgParser::parse_int("shards", argv[++i]);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
+      shards = ArgParser::parse_int("shards", argv[i] + 9);
     } else {
       argv[out++] = argv[i];
     }

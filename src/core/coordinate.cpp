@@ -56,7 +56,7 @@ void apply_request(const SpmInstance& instance, int i, int path_index,
 /// One shard's standing sub-problem across coordination rounds.
 struct ShardTask {
   std::vector<SpmInstance> instance;  // 0 or 1 entries (no default ctor)
-  IncrementalState state;             // per-round warm-start snapshots
+  std::vector<int> committed;         // pinned prefix, in local indices
   std::vector<Rng> rng;               // 1 entry; stateful across rounds
   bool populated = false;
 };
@@ -152,12 +152,11 @@ int enforce_edge_capacity(const SpmInstance& instance, Schedule& schedule,
 }
 
 MetisResult run_metis_sharded(const SpmInstance& instance,
-                              IncrementalState* state, Rng& rng,
+                              const std::vector<int>& pinned_prefix, Rng& rng,
                               const MetisOptions& options) {
   METIS_SPAN("shard.coordinate");
   const int num_requests = instance.num_requests();
-  const int committed =
-      state != nullptr ? static_cast<int>(state->committed.size()) : 0;
+  const int committed = static_cast<int>(pinned_prefix.size());
 
   MetisOptions mono = options;
   mono.shards = 1;
@@ -165,8 +164,7 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
   // not advance it), so both fallback sites reproduce the monolithic solve
   // bit for bit.
   const auto monolithic = [&]() {
-    return state != nullptr ? run_metis_incremental(instance, *state, rng, mono)
-                            : run_metis(instance, rng, mono);
+    return run_metis_incremental(instance, pinned_prefix, rng, mono);
   };
 
   ShardPlan plan = partition_instance(instance, options.shards);
@@ -196,7 +194,7 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
   // Standing shard tasks: a sub-instance over a full topology copy with only
   // the shard's requests (candidate paths match the parent's per request —
   // same topology, same deterministic Yen search, committed survivors'
-  // concrete paths required explicitly), plus per-shard warm-start state and
+  // concrete paths required explicitly), plus the shard's pinned prefix and
   // a seed-keyed Rng stream (split() leaves the caller's rng untouched).
   net::PathCache path_cache(instance.topology());
   std::vector<ShardTask> tasks(plan.num_shards);
@@ -211,8 +209,8 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
     for (int orig : plan.shard_requests[s]) {
       requests.push_back(instance.request(orig));
       net::Path pinned;
-      if (orig < committed && state->committed[orig] != kDeclined) {
-        pinned = instance.paths(orig)[state->committed[orig]];
+      if (orig < committed && pinned_prefix[orig] != kDeclined) {
+        pinned = instance.paths(orig)[pinned_prefix[orig]];
         any_required = true;
       }
       required.push_back(std::move(pinned));
@@ -225,8 +223,8 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
          ++local) {
       const int orig = plan.shard_requests[s][local];
       if (orig >= committed) break;  // ascending ids: prefix ends here
-      task.state.committed.push_back(
-          translate_choice(instance, orig, state->committed[orig],
+      task.committed.push_back(
+          translate_choice(instance, orig, pinned_prefix[orig],
                            task.instance.front(), static_cast<int>(local)));
     }
   }
@@ -256,15 +254,15 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
     }
 
     // Concurrent shard solves.  Each body touches only its own task (rng,
-    // snapshots, sub-instance), so results are index-addressed and the
-    // output is bit-identical for any thread count.
+    // sub-instance), so results are index-addressed and the output is
+    // bit-identical for any thread count.
     std::vector<MetisResult> solved = parallel_map(
         plan.num_shards,
         [&](int s) -> MetisResult {
           if (!tasks[s].populated) return MetisResult{};
           METIS_SPAN("shard.solve");
           return run_metis_incremental(tasks[s].instance.front(),
-                                       tasks[s].state, tasks[s].rng.front(),
+                                       tasks[s].committed, tasks[s].rng.front(),
                                        mono);
         },
         options.shard.threads);
@@ -273,7 +271,7 @@ MetisResult run_metis_sharded(const SpmInstance& instance,
     // decisions translated back from each shard's candidate set.
     Schedule combined = Schedule::all_declined(num_requests);
     for (int i = 0; i < committed; ++i) {
-      combined.path_choice[i] = state->committed[i];
+      combined.path_choice[i] = pinned_prefix[i];
     }
     double believed = 0;
     for (int s = 0; s < plan.num_shards; ++s) {

@@ -17,8 +17,7 @@
 // the shard sub-instances is discounted to its *realized* marginal share
 // (cost sharing: true price x combined charged units / sum of per-shard
 // charged units), plus a subgradient surcharge when a capacity-capped edge
-// is jointly over-subscribed.  Shards re-solve against the adjusted prices
-// — warm-started from their previous basis via ModelSnapshot/basis_lift —
+// is jointly over-subscribed.  Shards re-solve against the adjusted prices,
 // and the believed-vs-realized profit gap is the convergence measure.
 //
 // Every round's combined schedule is repaired on the *true* instance
@@ -38,10 +37,11 @@
 namespace metis::core {
 
 /// The sharded counterpart of run_metis / run_metis_incremental, reached
-/// through them when MetisOptions::shards > 1 (`state` == nullptr selects
-/// the offline path).  Deterministic for any ShardOptions::threads value.
+/// through them when MetisOptions::shards > 1 (`committed` as in
+/// run_metis_incremental; empty for the offline path).  Deterministic for
+/// any ShardOptions::threads value.
 MetisResult run_metis_sharded(const SpmInstance& instance,
-                              IncrementalState* state, Rng& rng,
+                              const std::vector<int>& committed, Rng& rng,
                               const MetisOptions& options);
 
 /// Greedy admission sweep: repeatedly accepts the declined request (at or

@@ -1,7 +1,6 @@
 #include "core/lp_builder.h"
 
 #include "core/accounting.h"
-#include "lp/basis_lift.h"
 
 #include <algorithm>
 #include <cmath>
@@ -256,61 +255,6 @@ ChargingPlan plan_from_solution(const SpmInstance& instance, const SpmModel& mod
     plan.units[e] = static_cast<int>(std::llround(x.at(model.c_var[e])));
   }
   return plan;
-}
-
-void snapshot_model(const SpmModel& model, const lp::Basis& basis,
-                    ModelSnapshot& out) {
-  if (basis.empty()) {
-    out.clear();
-    return;
-  }
-  out.basis = basis;
-  out.num_variables = model.problem.num_variables();
-  out.num_rows = model.problem.num_rows();
-  out.c_col = model.c_var;
-  out.cap_row = model.cap_row;
-}
-
-lp::Basis lift_into_model(const ModelSnapshot& snap, const SpmModel& model,
-                          bool equality_assignments) {
-  if (snap.empty()) return {};
-  const int new_cols = model.problem.num_variables();
-  const int new_rows = model.problem.num_rows();
-  std::vector<int> col_of_new(new_cols, -1);
-  std::vector<int> row_of_new(new_rows, -1);
-  // The persistent structure: c columns map per edge, capacity rows per
-  // (edge, slot).  x columns and assignment rows belong to the batch's own
-  // request set and never map across batches.
-  const std::size_t edges =
-      std::min(model.c_var.size(), snap.c_col.size());
-  for (std::size_t e = 0; e < edges; ++e) {
-    if (model.c_var[e] >= 0 && snap.c_col[e] >= 0) {
-      col_of_new[model.c_var[e]] = snap.c_col[e];
-    }
-  }
-  const std::size_t cap_edges =
-      std::min(model.cap_row.size(), snap.cap_row.size());
-  for (std::size_t e = 0; e < cap_edges; ++e) {
-    const std::size_t slots =
-        std::min(model.cap_row[e].size(), snap.cap_row[e].size());
-    for (std::size_t t = 0; t < slots; ++t) {
-      if (model.cap_row[e][t] >= 0 && snap.cap_row[e][t] >= 0) {
-        row_of_new[model.cap_row[e][t]] = snap.cap_row[e][t];
-      }
-    }
-  }
-  // The equality assignment rows (sum_j x = 1) cannot rest on their slack:
-  // mark each request's first path column Basic so the lifted point has a
-  // column to carry the forced unit.  The count repair in lift_basis then
-  // parks the surplus new-row slacks.
-  std::vector<int> basic_new;
-  if (equality_assignments) {
-    for (const auto& row : model.x_var) {
-      if (!row.empty() && row.front() >= 0) basic_new.push_back(row.front());
-    }
-  }
-  return lp::lift_basis(snap.basis, snap.num_variables, snap.num_rows,
-                        col_of_new, row_of_new, basic_new);
 }
 
 std::vector<double> columns_from_decision(const SpmInstance& instance,

@@ -45,13 +45,11 @@ struct MaaOptions {
   /// carries across iterations; the LP column order is stable for a fixed
   /// accepted set (see lp_builder.h), so re-solves start near-optimal.
   lp::Basis* warm_basis = nullptr;
-  /// Online admission (see IncrementalState in metis.h): when non-null,
-  /// committed requests are pinned — excluded from the LP (their loads move
-  /// to the capacity rows' RHS) and merged verbatim into the returned
-  /// schedule/plan — and, when `warm_basis` is empty, the relaxation lifts a
-  /// cross-batch warm start from `incremental->lift_from` and snapshots its
-  /// own optimal basis into `incremental->snapshot_out`.  Null (the
-  /// default): plain offline solve, bit-identical to the historical path.
+  /// Online admission (see run_metis_incremental in metis.h): when
+  /// non-null, committed requests are pinned — excluded from the LP (their
+  /// loads move to the capacity rows' RHS) and merged verbatim into the
+  /// returned schedule/plan.  Null (the default): plain offline solve,
+  /// bit-identical to the historical path.
   const IncrementalContext* incremental = nullptr;
   /// Fault repair: per-edge purchase ceiling on the relaxation's c_e
   /// columns (entry < 0 = uncapacitated; see build_rl_spm).  The rounded

@@ -218,19 +218,19 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
 
 namespace {
 
-/// Shared body of run_metis / run_metis_incremental.  `state == nullptr`
-/// (or an empty committed prefix with empty snapshots) is the offline loop:
-/// every pinned structure below is then empty / all-zero, and each use
-/// reduces bit for bit to the historical behaviour — which is what makes
-/// the single-batch online mode reproduce the offline decision exactly.
+/// Shared body of run_metis / run_metis_incremental.  `committed ==
+/// nullptr` (or an empty committed prefix) is the offline loop: every
+/// pinned structure below is then empty / all-zero, and each use reduces
+/// bit for bit to the historical behaviour — which is what makes the
+/// single-batch online mode reproduce the offline decision exactly.
 MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
                            const MetisOptions& options,
-                           IncrementalState* state) {
+                           const std::vector<int>* committed) {
   if (options.theta < 0) throw std::invalid_argument("Metis: theta must be >= 0");
   METIS_SPAN("metis");
   telemetry::count("metis.runs");
   const int K = instance.num_requests();
-  const int C = state != nullptr ? static_cast<int>(state->committed.size()) : 0;
+  const int C = committed != nullptr ? static_cast<int>(committed->size()) : 0;
   if (C > K) {
     throw std::invalid_argument("Metis: more commitments than requests");
   }
@@ -241,7 +241,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
 
   // Pinned commitments: the first C requests in their final decision.
   Schedule pin = Schedule::all_declined(K);
-  for (int i = 0; i < C; ++i) pin.path_choice[i] = state->committed[i];
+  for (int i = 0; i < C; ++i) pin.path_choice[i] = (*committed)[i];
   validate_shape(instance, pin);
   const LoadMatrix pinned_loads = compute_loads(instance, pin);
   // BW-limiter floor: a trim may never cut an edge below what the pinned
@@ -306,9 +306,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
   // order is a function of the accepted set alone), so each re-solve
   // warm-starts from the previous optimum; when acceptance shrinks the
   // shape changes and the solver silently falls back to a cold start.
-  // The incremental path additionally lifts the *previous batch's* basis
-  // into the first solve of each kind (IncrementalContext::lift_from) and
-  // snapshots the last optimal one for the next batch.
+  // The first solve of each kind always starts cold.
   lp::Basis maa_basis, taa_basis;
   MaaOptions maa_options = options.maa;
   maa_options.edge_capacity = options.edge_capacity;
@@ -318,17 +316,11 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     taa_options.warm_basis = &taa_basis;
   }
   IncrementalContext maa_inc, taa_inc;
-  if (state != nullptr) {
+  if (committed != nullptr) {
     maa_inc.committed = &pin;
     maa_inc.committed_loads = &pinned_loads;
     taa_inc.committed = &pin;
     taa_inc.committed_loads = &pinned_loads;
-    if (options.warm_start) {
-      maa_inc.lift_from = &state->maa;
-      maa_inc.snapshot_out = &state->maa;
-      taa_inc.lift_from = &state->taa;
-      taa_inc.snapshot_out = &state->taa;
-    }
     maa_options.incremental = &maa_inc;
     taa_options.incremental = &taa_inc;
   }
@@ -414,15 +406,17 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
 
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options) {
-  if (options.shards > 1) return run_metis_sharded(instance, nullptr, rng, options);
+  if (options.shards > 1) return run_metis_sharded(instance, {}, rng, options);
   return run_metis_impl(instance, rng, options, nullptr);
 }
 
 MetisResult run_metis_incremental(const SpmInstance& instance,
-                                  IncrementalState& state, Rng& rng,
+                                  const std::vector<int>& committed, Rng& rng,
                                   const MetisOptions& options) {
-  if (options.shards > 1) return run_metis_sharded(instance, &state, rng, options);
-  return run_metis_impl(instance, rng, options, &state);
+  if (options.shards > 1) {
+    return run_metis_sharded(instance, committed, rng, options);
+  }
+  return run_metis_impl(instance, rng, options, &committed);
 }
 
 }  // namespace metis::core

@@ -145,30 +145,17 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options = {});
 
-/// Cross-batch carry-over of the online admission pipeline (sim/online.h).
-/// With `committed` empty and fresh snapshots, run_metis_incremental is
-/// bit-identical to run_metis — the anchor the single-batch test pins.
-struct IncrementalState {
-  /// Hard commitments: final decisions for the first `committed.size()`
-  /// requests of the instance, in arrival order (path index or kDeclined).
-  /// Committed requests are excluded from re-optimization: accepted ones
-  /// keep their path (their loads move into the LP right-hand sides and
-  /// floor the BW limiter), declined ones stay declined.
-  std::vector<int> committed;
-  /// Shape + optimal basis of the last RL-SPM / BL-SPM solve, lifted onto
-  /// the next batch's models for a cross-batch warm start (lp/basis_lift.h).
-  /// Updated in place by every optimal inner solve; start empty.
-  ModelSnapshot maa;
-  ModelSnapshot taa;
-};
-
-/// Metis over `instance` treating the leading `state.committed.size()`
-/// requests as already decided.  The returned schedule/plan/profit cover
-/// the *whole* instance (commitments included); the caller appends the new
-/// decisions to `state.committed` before the next batch.  `state` is only
-/// mutated through its snapshots.
+/// Metis over `instance` treating the leading `committed.size()` requests
+/// as already decided: `committed[i]` is request i's final decision (path
+/// index or kDeclined).  Committed requests are excluded from
+/// re-optimization — accepted ones keep their path (their loads move into
+/// the LP right-hand sides and floor the BW limiter), declined ones stay
+/// declined.  The returned schedule/plan/profit cover the *whole* instance
+/// (commitments included).  With `committed` empty the result is
+/// bit-identical to run_metis — the anchor the single-batch online test
+/// pins.
 MetisResult run_metis_incremental(const SpmInstance& instance,
-                                  IncrementalState& state, Rng& rng,
+                                  const std::vector<int>& committed, Rng& rng,
                                   const MetisOptions& options = {});
 
 }  // namespace metis::core

@@ -67,21 +67,10 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
   bl_options.cost_weight = options.cost_weight;
   const SpmModel model =
       build_bl_spm(instance, capacities, accepted, bl_options, pinned);
-  lp::Basis* warm = options.warm_basis;
-  if (warm != nullptr && warm->empty() && inc != nullptr &&
-      inc->lift_from != nullptr && !inc->lift_from->empty()) {
-    *warm =
-        lift_into_model(*inc->lift_from, model, /*equality_assignments=*/false);
-    if (!warm->empty()) telemetry::count("taa.basis_lifts");
-  }
   const lp::SimplexSolver solver(options.lp);
-  const lp::LpSolution relaxed = solver.solve(model.problem, warm);
+  const lp::LpSolution relaxed = solver.solve(model.problem, options.warm_basis);
   result.status = relaxed.status;
   result.lp_stats = relaxed.stats;
-  if (inc != nullptr && inc->snapshot_out != nullptr && relaxed.ok() &&
-      warm != nullptr) {
-    snapshot_model(model, *warm, *inc->snapshot_out);
-  }
   if (!relaxed.ok()) return result;
   result.lp_revenue = relaxed.objective;
 

@@ -46,13 +46,11 @@ struct TaaOptions {
   /// MaaOptions::warm_basis): consecutive Metis iterations re-solve the
   /// same-shaped LP with only capacities/acceptance perturbed.
   lp::Basis* warm_basis = nullptr;
-  /// Online admission (see IncrementalState in metis.h): when non-null,
-  /// committed requests are pinned — excluded from the LP (their loads are
-  /// subtracted from the capacity rows' RHS), pre-loaded into the walk's
-  /// feasibility guard, and merged verbatim into the returned schedule —
-  /// and, when `warm_basis` is empty, the relaxation lifts a cross-batch
-  /// warm start from `incremental->lift_from` and snapshots its own optimal
-  /// basis into `incremental->snapshot_out`.  Null: plain offline solve.
+  /// Online admission (see run_metis_incremental in metis.h): when
+  /// non-null, committed requests are pinned — excluded from the LP (their
+  /// loads are subtracted from the capacity rows' RHS), pre-loaded into the
+  /// walk's feasibility guard, and merged verbatim into the returned
+  /// schedule.  Null: plain offline solve.
   const IncrementalContext* incremental = nullptr;
 };
 

@@ -23,6 +23,13 @@ using detail::resting_value;
 using detail::Tableau;
 using detail::VarStatus;
 
+/// Pivots between two LU refactorizations: bounds the drift the product-form
+/// eta file accumulates.
+constexpr int kRefactorInterval = 100;
+/// Consecutive degenerate pivots before the pricing switches to Bland's
+/// rule, which guarantees termination.
+constexpr int kBlandThreshold = 64;
+
 /// Builds sparse columns from the row-wise LinearProblem, merging duplicate
 /// column references within a row.
 void build_structural(const LinearProblem& p, Tableau& t) {
@@ -250,7 +257,7 @@ class Engine {
     for (int r = 0; r < t_.m; ++r) {
       const int slack = t_.n_struct + r;
       const double clamped = std::clamp(resid[r], t_.lb[slack], t_.ub[slack]);
-      if (std::abs(resid[r] - clamped) <= opt_.tol) {
+      if (std::abs(resid[r] - clamped) <= num::kFeasTol) {
         t_.set_basic(slack, r, resid[r]);
       } else {
         // Slack rests at its nearest bound; an artificial carries the rest.
@@ -363,11 +370,11 @@ class Engine {
     for (int i = 0; i < t_.m; ++i) {
       const double coef = sigma * w[i];
       const int bj = t_.basis[i];
-      if (coef > opt_.pivot_tol) {
+      if (coef > num::kPivotTol) {
         if (!std::isfinite(t_.lb[bj])) continue;
         const double room = std::max(0.0, t_.value[bj] - t_.lb[bj]);
         out.t_max = std::min(out.t_max, room / coef);
-      } else if (coef < -opt_.pivot_tol) {
+      } else if (coef < -num::kPivotTol) {
         if (!std::isfinite(t_.ub[bj])) continue;
         const double room = std::max(0.0, t_.ub[bj] - t_.value[bj]);
         out.t_max = std::min(out.t_max, room / (-coef));
@@ -380,10 +387,10 @@ class Engine {
       const int bj = t_.basis[i];
       double ratio;
       bool to_upper;
-      if (coef > opt_.pivot_tol && std::isfinite(t_.lb[bj])) {
+      if (coef > num::kPivotTol && std::isfinite(t_.lb[bj])) {
         ratio = std::max(0.0, t_.value[bj] - t_.lb[bj]) / coef;
         to_upper = false;
-      } else if (coef < -opt_.pivot_tol && std::isfinite(t_.ub[bj])) {
+      } else if (coef < -num::kPivotTol && std::isfinite(t_.ub[bj])) {
         ratio = std::max(0.0, t_.ub[bj] - t_.value[bj]) / (-coef);
         to_upper = true;
       } else {
@@ -418,15 +425,15 @@ class Engine {
     for (int i = 0; i < t_.m; ++i) {
       const double coef = sigma * w[i];
       const int bj = t_.basis[i];
-      if (coef > opt_.pivot_tol) {
+      if (coef > num::kPivotTol) {
         if (!std::isfinite(t_.lb[bj])) continue;
         const double room = std::max(0.0, t_.value[bj] - t_.lb[bj]);
-        const double budget = opt_.tol * num::rel_scale(t_.lb[bj]);
+        const double budget = num::kFeasTol * num::rel_scale(t_.lb[bj]);
         theta = std::min(theta, (room + budget) / coef);
-      } else if (coef < -opt_.pivot_tol) {
+      } else if (coef < -num::kPivotTol) {
         if (!std::isfinite(t_.ub[bj])) continue;
         const double room = std::max(0.0, t_.ub[bj] - t_.value[bj]);
-        const double budget = opt_.tol * num::rel_scale(t_.ub[bj]);
+        const double budget = num::kFeasTol * num::rel_scale(t_.ub[bj]);
         theta = std::min(theta, (room + budget) / (-coef));
       }
     }
@@ -437,10 +444,10 @@ class Engine {
       const int bj = t_.basis[i];
       double ratio;
       bool to_upper;
-      if (coef > opt_.pivot_tol && std::isfinite(t_.lb[bj])) {
+      if (coef > num::kPivotTol && std::isfinite(t_.lb[bj])) {
         ratio = std::max(0.0, t_.value[bj] - t_.lb[bj]) / coef;
         to_upper = false;
-      } else if (coef < -opt_.pivot_tol && std::isfinite(t_.ub[bj])) {
+      } else if (coef < -num::kPivotTol && std::isfinite(t_.ub[bj])) {
         ratio = std::max(0.0, t_.ub[bj] - t_.value[bj]) / (-coef);
         to_upper = true;
       } else {
@@ -463,9 +470,9 @@ class Engine {
   /// Pricing violation of nonbasic column j given reduced cost d, or 0
   /// when j prices out (not attractive at its resting bound).
   double pricing_violation(int j, double d) const {
-    if (t_.status[j] == VarStatus::AtLower && d < -opt_.tol) return -d;
-    if (t_.status[j] == VarStatus::AtUpper && d > opt_.tol) return d;
-    if (t_.status[j] == VarStatus::Free && std::abs(d) > opt_.tol)
+    if (t_.status[j] == VarStatus::AtLower && d < -num::kFeasTol) return -d;
+    if (t_.status[j] == VarStatus::AtUpper && d > num::kFeasTol) return d;
+    if (t_.status[j] == VarStatus::Free && std::abs(d) > num::kFeasTol)
       return std::abs(d);
     return 0.0;
   }
@@ -499,12 +506,12 @@ class Engine {
     int degenerate_run = 0;
     while (true) {
       if (iterations_++ >= max_iterations_) return SolveStatus::IterationLimit;
-      const bool bland = degenerate_run >= opt_.bland_threshold;
+      const bool bland = degenerate_run >= kBlandThreshold;
       // Reinversion trigger 1 (deterministic: a pure function of the pivot
       // sequence): on the transition into Bland's anti-cycling mode,
       // refactorize once so the endgame prices against exact basic values
       // instead of the drift the Harris bound-expansion accumulated.
-      if (degenerate_run == opt_.bland_threshold) refactorize();
+      if (degenerate_run == kBlandThreshold) refactorize();
       const std::vector<double> y = compute_y(c);
 
       // --- Pricing (Dantzig full scan; see simplex.h) ---
@@ -550,7 +557,7 @@ class Engine {
         return phase1 ? SolveStatus::NotSolved : SolveStatus::Unbounded;
       }
       t_max = std::max(0.0, t_max);
-      degenerate_run = t_max <= opt_.tol ? degenerate_run + 1 : 0;
+      degenerate_run = t_max <= num::kFeasTol ? degenerate_run + 1 : 0;
 
       // --- Apply the step ---
       for (int i = 0; i < t_.m; ++i) {
@@ -585,13 +592,13 @@ class Engine {
       const double pivot = w[leave_pos];
       double spike = 0;
       for (int i = 0; i < t_.m; ++i) spike = std::max(spike, std::abs(w[i]));
-      if (std::abs(pivot) < opt_.pivot_tol ||
+      if (std::abs(pivot) < num::kPivotTol ||
           std::abs(pivot) < num::kOptTol * spike) {
         refactorize();
         continue;
       }
       factor_.push_eta(leave_pos, w);
-      if (factor_.eta_count() >= opt_.refactor_interval) {
+      if (factor_.eta_count() >= kRefactorInterval) {
         refactorize();
       }
     }
@@ -738,7 +745,7 @@ LpSolution SimplexSolver::solve(const LinearProblem& problem,
       } else if (!pre.unbounded) {
         Engine engine(pre.reduced, options_);
         const LpSolution red = engine.run(false);
-        sol = pre.postsolve(problem, red, options_.tol);
+        sol = pre.postsolve(problem, red, num::kFeasTol);
         sol.stats.presolve_removed_rows = pre.removed_rows;
         sol.stats.presolve_removed_cols = pre.removed_columns;
         if (sol.ok() && basis) {

@@ -15,7 +15,7 @@
 //    sum of artificials.  Artificials are frozen ([0,0]) once driven out.
 //  * Sparse LU basis factorization (left-looking, partial pivoting with
 //    deterministic ties) with product-form eta updates per pivot; the basis
-//    is refactorized every `refactor_interval` pivots to bound drift.
+//    is refactorized every 100 pivots (kRefactorInterval) to bound drift.
 //    FTRAN/BTRAN run against the sparse factors, never a dense inverse.  A
 //    basis that has gone numerically singular is repaired by deterministic
 //    slack swap-ins (lp/basis_factor.h).
@@ -53,18 +53,11 @@ namespace metis::lp {
 struct SimplexOptions {
   /// 0 means automatic: 200 * (rows + cols) + 2000.
   int max_iterations = 0;
-  /// Primal feasibility / reduced-cost tolerance.
-  double tol = num::kFeasTol;
-  /// Pivot magnitude below which a column is rejected as numerically unsafe.
-  double pivot_tol = num::kPivotTol;
-  /// Refactorize the basis every this many pivots.
-  int refactor_interval = 100;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  int bland_threshold = 64;
   /// Harris two-pass ratio test: pass 1 finds the minimum ratio with every
-  /// bound expanded by the feasibility budget `tol * max(1, |bound|)`;
-  /// pass 2 picks the numerically largest pivot among the candidates that
-  /// fit under it (ties to the smallest basis column index).  Degenerate
+  /// bound expanded by the feasibility budget
+  /// `num::kFeasTol * max(1, |bound|)`; pass 2 picks the numerically
+  /// largest pivot among the candidates that fit under it (ties to the
+  /// smallest basis column index).  Degenerate
   /// and near-degenerate instances get large stable pivots instead of
   /// cycling on tiny ones; transient bound violations are bounded by the
   /// expansion budget and washed out at the next refactorization.  Off

@@ -82,46 +82,6 @@ void put_path(ByteWriter& w, const net::Path& p) { put_i32_vec(w, p.edges); }
 
 net::Path get_path(ByteReader& r) { return net::Path{get_i32_vec(r)}; }
 
-void put_basis(ByteWriter& w, const lp::Basis& b) {
-  w.u64(b.status.size());
-  for (lp::BasisStatus s : b.status) w.u8(static_cast<std::uint8_t>(s));
-}
-
-lp::Basis get_basis(ByteReader& r) {
-  const std::uint64_t n = r.length(r.u64());
-  lp::Basis b;
-  b.status.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint8_t s = r.u8();
-    if (s > static_cast<std::uint8_t>(lp::BasisStatus::Free)) {
-      r.fail("basis status byte " + std::to_string(s) + " out of range");
-    }
-    b.status.push_back(static_cast<lp::BasisStatus>(s));
-  }
-  return b;
-}
-
-void put_model_snapshot(ByteWriter& w, const core::ModelSnapshot& m) {
-  put_basis(w, m.basis);
-  w.i32(m.num_variables);
-  w.i32(m.num_rows);
-  put_i32_vec(w, m.c_col);
-  w.u64(m.cap_row.size());
-  for (const std::vector<int>& row : m.cap_row) put_i32_vec(w, row);
-}
-
-core::ModelSnapshot get_model_snapshot(ByteReader& r) {
-  core::ModelSnapshot m;
-  m.basis = get_basis(r);
-  m.num_variables = r.i32();
-  m.num_rows = r.i32();
-  m.c_col = get_i32_vec(r);
-  const std::uint64_t rows = r.length(r.u64());
-  m.cap_row.reserve(static_cast<std::size_t>(rows));
-  for (std::uint64_t i = 0; i < rows; ++i) m.cap_row.push_back(get_i32_vec(r));
-  return m;
-}
-
 void put_solve_stats(ByteWriter& w, const lp::SolveStats& s) {
   w.i64(s.iterations);
   w.i32(s.factorizations);
@@ -338,7 +298,6 @@ std::string section_name(std::uint32_t id) {
   switch (id) {
     case kSectionMeta: return "meta";
     case kSectionBatches: return "batches";
-    case kSectionIncremental: return "incremental";
     case kSectionEntries: return "entries";
     case kSectionTopology: return "topology";
     case kSectionFaults: return "faults";
@@ -378,13 +337,6 @@ std::vector<std::uint8_t> encode(const OnlineCheckpoint& ckpt) {
       put_solve_stats(w, b.lp_stats);
     }
     writer.section(kSectionBatches, std::move(w).take());
-  }
-  {
-    ByteWriter w;
-    put_i32_vec(w, ckpt.inc.committed);
-    put_model_snapshot(w, ckpt.inc.maa);
-    put_model_snapshot(w, ckpt.inc.taa);
-    writer.section(kSectionIncremental, std::move(w).take());
   }
   {
     ByteWriter w;
@@ -455,13 +407,6 @@ OnlineCheckpoint decode_online(const SnapshotReader& reader) {
       b.lp_stats = get_solve_stats(r);
       ckpt.batches.push_back(std::move(b));
     }
-    r.expect_done();
-  }
-  {
-    ByteReader r = section_reader(reader, kSectionIncremental);
-    ckpt.inc.committed = get_i32_vec(r);
-    ckpt.inc.maa = get_model_snapshot(r);
-    ckpt.inc.taa = get_model_snapshot(r);
     r.expect_done();
   }
   {
@@ -658,7 +603,6 @@ void write_debug_json(const SnapshotReader& reader, std::ostream& os) {
     os << ",\"total_arrivals\":" << ckpt.total_arrivals
        << ",\"total_accepted\":" << ckpt.total_accepted << '}';
     os << ",\"batches\":" << ckpt.batches.size()
-       << ",\"committed\":" << ckpt.inc.committed.size()
        << ",\"entries\":" << ckpt.entries.size() << ",\"refunds\":";
     json::write_number(os, ckpt.refunds.refunded);
     os << ",\"lp_iterations\":" << ckpt.lp_stats.iterations

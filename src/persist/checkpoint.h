@@ -6,7 +6,7 @@
 // (CommittedBook entries, BatchRecord lists) is mirrored here as plain
 // structs; sim/online.cpp, sim/faults.cpp and sim/simulator.cpp convert
 // through them.  Types that already live at or below core —
-// workload::Request, core::IncrementalState, lp::SolveStats,
+// workload::Request, core::RefundLedger, lp::SolveStats,
 // net::PathCache::Dump, telemetry::MetricsSnapshot — are serialized
 // directly.
 //
@@ -18,9 +18,9 @@
 //    just counters: the batch index, the fault-repair index, the surge
 //    index, and the arrival/fault-event cursors into their deterministic
 //    streams;
-//  * the LP warm-start state (core::IncrementalState's ModelSnapshots,
-//    basis included) is saved, so even simplex iteration counts continue
-//    exactly;
+//  * no LP basis outlives a decide (each decide's first solves start
+//    cold), so the book's entries pin even the simplex iteration counts of
+//    every later decide;
 //  * the mutated Topology is restored through the epoch-preserving
 //    restore_* setters and the PathCache image is reloaded against the
 //    identical epoch, so post-resume lookups hit and miss exactly as the
@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "core/accounting.h"
-#include "core/metis.h"
+#include "lp/types.h"
 #include "net/paths.h"
 #include "persist/snapshot.h"
 #include "util/telemetry.h"
@@ -42,11 +42,11 @@
 namespace metis::persist {
 
 /// Section ids of the container (strictly increasing in every file).  Ids
-/// 3 and 5 are retired version-2 sections; do not reuse them.
+/// 3 and 5 are retired version-2 sections and id 4 a retired version-3
+/// one; do not reuse them.
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,         ///< kind, fingerprint, replay cursors
   kSectionBatches = 2,      ///< per-batch records (online)
-  kSectionIncremental = 4,  ///< committed prefix + LP warm-start snapshots
   kSectionEntries = 6,      ///< CommittedBook entries (online)
   kSectionTopology = 7,     ///< mutated topology state + epoch
   kSectionFaults = 8,       ///< refund ledger + fault stats + book lp stats
@@ -126,7 +126,6 @@ struct OnlineCheckpoint {
   // --- sim::CommittedBook state (export_state / restore_state) ---------
   std::vector<BookEntryState> entries;
   TopologyState topology;
-  core::IncrementalState inc;  ///< committed prefix + LP warm-start bases
   core::RefundLedger refunds;
   FaultStatsImage fault_stats;
   lp::SolveStats lp_stats;  ///< LP work of every decide so far

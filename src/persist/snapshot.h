@@ -38,8 +38,9 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
 /// Bumped whenever a codec's byte layout changes (version 2: the
 /// serialized lp::SolveStats lost its three pricing counters; version 3:
 /// the online checkpoint lost its fault-free book and running-result
-/// sections and its replay-mode flag).
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// sections and its replay-mode flag; version 4: it lost its LP warm-start
+/// section).
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,
 /// truncation, out-of-order or duplicate sections, trailing bytes.

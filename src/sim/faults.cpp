@@ -300,18 +300,19 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
   }
 
   core::SpmInstance instance(topo_, book, config_, &cache_, &require);
-  state_.committed.clear();
+  std::vector<int> committed;
   for (int c = 0; c < attempt.num_committed; ++c) {
     const std::vector<net::Path>& candidates = instance.paths(c);
     const auto it = std::find(candidates.begin(), candidates.end(), require[c]);
     // require_paths guarantees presence.
-    state_.committed.push_back(static_cast<int>(it - candidates.begin()));
+    committed.push_back(static_cast<int>(it - candidates.begin()));
   }
 
   const std::vector<int> caps = effective_caps();
   core::MetisOptions options = repair_.metis;
   options.edge_capacity = &caps;
-  attempt.result = core::run_metis_incremental(instance, state_, rng, options);
+  attempt.result =
+      core::run_metis_incremental(instance, committed, rng, options);
   lp_stats_ += attempt.result.lp_stats;
 
   attempt.chosen_path.resize(book.size());
@@ -322,11 +323,7 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
   return attempt;
 }
 
-core::MetisResult CommittedBook::decide_pending(Rng& rng, bool warm_start) {
-  if (!warm_start) {
-    state_.maa.clear();
-    state_.taa.clear();
-  }
+core::MetisResult CommittedBook::decide_pending(Rng& rng) {
   // Pending requests the mutated WAN can no longer connect are declined
   // up-front (SpmInstance would reject the whole book otherwise); a victim
   // that became unreachable is a drop with refund.
@@ -653,7 +650,6 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
     t.node_enabled.push_back(topo_.node_enabled(node) ? 1 : 0);
   }
   t.epoch = topo_.epoch();
-  ckpt.inc = state_;
   ckpt.refunds = refunds_;
   ckpt.fault_stats = {stats_.injected,  stats_.network_changes,
                       stats_.repairs,   stats_.victims,
@@ -696,7 +692,6 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
     e.was_committed = image.was_committed;
     entries_.push_back(std::move(e));
   }
-  state_ = ckpt.inc;
   refunds_ = ckpt.refunds;
   stats_ = FaultStats{ckpt.fault_stats.injected,
                       ckpt.fault_stats.network_changes,

@@ -165,10 +165,7 @@ class CommittedBook {
   /// After the solve, a deterministic shed pass enforces the mutated
   /// network's capacities exactly (randomized rounding may overshoot the
   /// LP's caps).  Newly accepted decisions become commitments.
-  /// `warm_start` = false drops the LP basis snapshots of earlier decides
-  /// first, so this decide's first solves start cold (the warm-vs-cold
-  /// ablation; decisions are identical, only the simplex work moves).
-  core::MetisResult decide_pending(Rng& rng, bool warm_start = true);
+  core::MetisResult decide_pending(Rng& rng);
 
   /// Replays one fault event: mutates the topology, marks victims
   /// (dropping or re-queuing them per the repair policy) and — when the
@@ -215,8 +212,7 @@ class CommittedBook {
 
   // --- checkpoint/restore (src/persist/) -------------------------------
   /// Copies the book's full mutable state — entries, mutated topology,
-  /// refund ledger, fault/LP counters, warm-start snapshots, path cache —
-  /// into the checkpoint.
+  /// refund ledger, fault/LP counters, path cache — into the checkpoint.
   void export_state(persist::OnlineCheckpoint& ckpt) const;
   /// Rehydrates the book from a checkpoint taken by export_state against
   /// the same pristine topology (shape pinned by the config fingerprint).
@@ -258,7 +254,6 @@ class CommittedBook {
   RepairConfig repair_;
   net::PathCache cache_;
   std::vector<Entry> entries_;
-  core::IncrementalState state_;  ///< carries LP basis snapshots across decides
   core::RefundLedger refunds_;
   FaultStats stats_;
   lp::SolveStats lp_stats_;

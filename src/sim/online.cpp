@@ -108,7 +108,6 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(config_.arrivals_per_slot);
   fp.mix(config_.batch_size);
   fp.mix(config_.max_batch_delay);
-  fp.mix(config_.cross_batch_warm_start);
   const core::MetisOptions& m = config_.metis;
   fp.mix(m.theta);
   fp.mix(m.trim_units);
@@ -229,8 +228,7 @@ OnlineResult OnlineAdmissionSimulator::run() const {
     Rng rng =
         Rng(config_.base.seed).split(static_cast<std::uint64_t>(rec.batch));
     const int accepted_before = book.accepted_count();
-    const core::MetisResult decided =
-        book.decide_pending(rng, config_.cross_batch_warm_start);
+    const core::MetisResult decided = book.decide_pending(rng);
     // Net change: a repair shed inside the decide can make this negative.
     rec.accepted = book.accepted_count() - accepted_before;
     rec.profit = book.net_profit();

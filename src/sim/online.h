@@ -10,9 +10,8 @@
 //      are waiting or the oldest has waited `max_batch_delay` slots,
 //   3. re-decides each batch through a sim::CommittedBook, which runs
 //      core::run_metis_incremental with every committed request pinned on
-//      its reserved path (the book's core::IncrementalState carries the
-//      last optimal LP bases for cross-batch warm starts via
-//      lp/basis_lift.h, and one net::PathCache serves every batch),
+//      its reserved path (each decide's first LP solves start cold; one
+//      net::PathCache serves every batch),
 //   4. interleaves the seeded fault stream (sim/faults.h) with the
 //      arrivals — empty at fault rate 0, so a fault-free stream is the same
 //      replay with only arrivals and deadline flushes driving the clock.
@@ -51,12 +50,6 @@ struct OnlineConfig {
   double max_batch_delay = 0;
   /// Options for every incremental Metis re-decide.
   core::MetisOptions metis;
-  /// Lift the previous batch's optimal LP bases into the next batch's
-  /// first RL-SPM/BL-SPM solves (lp/basis_lift.h).  Off = every batch
-  /// cold-starts its first solves — the ablation the bench reports as
-  /// warm-vs-cold simplex iterations.  Decisions are identical either way;
-  /// only the iteration counts move.
-  bool cross_batch_warm_start = true;
   /// Fault injection (sim/faults.h).  faults.rate == 0 — the default —
   /// yields an empty fault stream.  With a positive rate the replay
   /// interleaves the seeded fault stream with the arrival stream and the

@@ -50,7 +50,10 @@ std::string ArgParser::get(const std::string& name, const std::string& default_v
 }
 
 int ArgParser::get_int(const std::string& name, int default_value) {
-  const std::string raw = get(name, std::to_string(default_value));
+  return parse_int(name, get(name, std::to_string(default_value)));
+}
+
+int ArgParser::parse_int(const std::string& name, const std::string& raw) {
   try {
     // std::stoi alone stops at the first non-digit ("4x" -> 4), silently
     // accepting a typo'd flag value; require the whole token to parse.

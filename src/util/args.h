@@ -22,6 +22,11 @@ class ArgParser {
   double get_double(const std::string& name, double default_value);
   bool get_bool(const std::string& name, bool default_value);
 
+  /// The strict integer parse behind get_int: the whole token must be an
+  /// int, else std::invalid_argument("flag --<name> expects an integer,
+  /// got: <raw>").  For mains that strip a flag from argv by hand.
+  static int parse_int(const std::string& name, const std::string& raw);
+
   /// True if --help / -h was passed.
   bool help_requested() const { return help_; }
 

@@ -46,7 +46,7 @@ inline constexpr double kFeasTol = 1e-7;
 inline constexpr double kOptTol = 1e-6;
 
 /// Pivot magnitude below which a column is rejected as numerically unsafe
-/// and the ratio test must look elsewhere (SimplexOptions::pivot_tol).
+/// and the simplex ratio test must look elsewhere.
 /// Also the presolve fixing threshold: bounds closer than this are a fix.
 inline constexpr double kPivotTol = 1e-9;
 

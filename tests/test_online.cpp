@@ -5,8 +5,8 @@
 //   * one batch == offline Metis, bit for bit (same RNG stream, same LP
 //     bytes, same control flow),
 //   * commitments are final — later batches never flip an earlier decision,
-//   * cross-batch warm starts are a pure acceleration (decisions are
-//     identical with them off),
+//   * warm starts are a pure acceleration (decisions are identical with
+//     MetisOptions::warm_start off),
 //   * the committed schedule indexes each request's candidate paths, so
 //     it reads against the whole-stream instance like an offline one,
 //   * the replay is deterministic for any rounding thread count.
@@ -101,12 +101,11 @@ TEST(OnlineAdmission, CommittedPrefixIsPreservedByLaterBatches) {
   const core::MetisResult full = core::run_metis(instance, rng);
 
   const int pin = instance.num_requests() / 2;
-  core::IncrementalState state;
-  state.committed.assign(full.schedule.path_choice.begin(),
-                         full.schedule.path_choice.begin() + pin);
+  const std::vector<int> committed(full.schedule.path_choice.begin(),
+                                   full.schedule.path_choice.begin() + pin);
   Rng rng2 = Rng(11).split(1);
   const core::MetisResult redo =
-      core::run_metis_incremental(instance, state, rng2);
+      core::run_metis_incremental(instance, committed, rng2);
   ASSERT_EQ(redo.schedule.path_choice.size(), full.schedule.path_choice.size());
   for (int i = 0; i < pin; ++i) {
     EXPECT_EQ(redo.schedule.path_choice[i], full.schedule.path_choice[i])
@@ -118,10 +117,9 @@ TEST(OnlineAdmission, EmptyCommitmentsReduceToPlainMetis) {
   const core::SpmInstance instance = make_instance(small_config(5, 1).base);
   Rng rng_a(42);
   const core::MetisResult plain = core::run_metis(instance, rng_a);
-  core::IncrementalState state;  // empty committed, fresh snapshots
   Rng rng_b(42);
   const core::MetisResult incremental =
-      core::run_metis_incremental(instance, state, rng_b);
+      core::run_metis_incremental(instance, {}, rng_b);
   expect_same_decision(plain.schedule, plain.plan, plain.best.profit,
                        incremental.schedule, incremental.plan,
                        incremental.best.profit);
@@ -133,7 +131,7 @@ TEST(OnlineAdmission, WarmStartsNeverChangeTheDecision) {
   const OnlineResult warm = OnlineAdmissionSimulator(warm_config).run();
 
   OnlineConfig cold_config = warm_config;
-  cold_config.cross_batch_warm_start = false;
+  cold_config.metis.warm_start = false;
   const OnlineResult cold = OnlineAdmissionSimulator(cold_config).run();
 
   ASSERT_GT(warm.batches.size(), 1u);
@@ -146,7 +144,7 @@ TEST(OnlineAdmission, WarmStartsNeverChangeTheDecision) {
     EXPECT_EQ(warm.batches[b].profit, cold.batches[b].profit);
   }
   // The acceleration actually engaged: more accepted warm starts than the
-  // cold configuration, whose batches start from empty LP snapshots.
+  // cold configuration, whose every LP solve starts from scratch.
   EXPECT_GT(warm.lp_stats.warm_starts, cold.lp_stats.warm_starts);
 }
 

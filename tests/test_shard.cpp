@@ -238,17 +238,16 @@ TEST(ShardedMetis, IncrementalRespectsCommitments) {
   const MetisResult first = run_metis(instance, seed_rng, mono);
   const int committed = instance.num_requests() / 2;
 
-  IncrementalState state;
-  state.committed.assign(first.schedule.path_choice.begin(),
-                         first.schedule.path_choice.begin() + committed);
+  const std::vector<int> pinned(first.schedule.path_choice.begin(),
+                                first.schedule.path_choice.begin() + committed);
   MetisOptions options;
   options.shards = 2;
   Rng rng(4);
-  const MetisResult result = run_metis_incremental(instance, state, rng, options);
+  const MetisResult result = run_metis_incremental(instance, pinned, rng, options);
   ASSERT_EQ(static_cast<int>(result.schedule.path_choice.size()),
             instance.num_requests());
   for (int i = 0; i < committed; ++i) {
-    EXPECT_EQ(result.schedule.path_choice[i], state.committed[i]) << "i=" << i;
+    EXPECT_EQ(result.schedule.path_choice[i], pinned[i]) << "i=" << i;
   }
   EXPECT_TRUE(
       sim::check_plan_covers_schedule(instance, result.schedule, result.plan)

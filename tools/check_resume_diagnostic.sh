@@ -1,9 +1,20 @@
 #!/bin/sh
-# Bad input must end in a diagnostic, never an abort: each binary given is
-# run with `--resume` pointing at a file that is not a checkpoint, and must
-# exit with code 2 and a message naming that file; an undeclared flag must
-# also exit with code 2.  Registered as the `tooling`-labeled ctest
-# check_resume_diagnostic (see the top-level CMakeLists.txt); standalone:
+# Bad input must end in a diagnostic, never an abort or a silent run.  Each
+# binary given is run with the bad input its kind takes and must exit with
+# code 2, its last output line (the one-line diagnostic) naming the bad
+# value:
+#   * fuzz_lp: a non-integer `--cases`;
+#   * bench_runtime: a non-integer `--shards`;
+#   * bench_lp_solver: a `--telemetry-json` path that cannot be written;
+#   * the bench_fig*/bench_ablation*/bench_sensitivity table benches:
+#     `--threads x` (a malformed value where the bench declares the flag,
+#     an undeclared flag where it does not);
+#   * anything else (the checkpointing benches and examples): `--resume`
+#     pointing at a file that is not a checkpoint.
+# Every binary except the two google-benchmark drivers (whose own flag
+# parser exits 1 on unknown flags) must also exit 2 on an undeclared flag.
+# Registered as the `tooling`-labeled ctest check_resume_diagnostic (see the
+# top-level CMakeLists.txt); standalone:
 #   tools/check_resume_diagnostic.sh <scratch dir> <binary> [<binary> ...]
 set -u
 
@@ -16,45 +27,63 @@ shift
 mkdir -p "$dir" || exit 1
 garbage="$dir/not_a_checkpoint.ckpt"
 printf 'this is not a metis checkpoint\n' > "$garbage" || exit 1
+unwritable="$dir/no_such_dir/telemetry.json"
+# An empty regex filter runs no benchmark, so the google-benchmark drivers
+# reach their telemetry write at once.
+no_benchmarks='--benchmark_filter=^$'
 
 fail=0
-# Runs <binary> <args...>: prints its output and succeeds on exit code 2,
-# else prints a FAIL line for <label> and fails.
-expect_exit_2() {  # <label> <binary> <args...>
+# Runs <binary> <args...> and checks exit code 2 with <needle> on the last
+# output line; prints an ok or FAIL line for <label>.
+expect_diagnostic() {  # <label> <needle> <binary> <args...>
   label=$1
-  shift
+  needle=$2
+  shift 2
   out=$("$@" 2>&1)
   code=$?
+  # The diagnostic is the last line (a bench may print a banner first).
+  last=$(printf '%s\n' "$out" | tail -n 1)
   if [ "$code" -ne 2 ]; then
     echo "FAIL $label: exit $code, expected 2"
-    echo "$out" | tail -n 5
-    return 1
+    printf '%s\n' "$out" | tail -n 5
+    fail=1
+    return
   fi
-  printf '%s\n' "$out"
+  case "$last" in
+    *"$needle"*) echo "ok   $label: $last" ;;
+    *)
+      echo "FAIL $label: diagnostic does not name '$needle': $last"
+      fail=1
+      ;;
+  esac
 }
 
 for bin in "$@"; do
   name=$(basename "$bin")
-  label="$name --resume <garbage>"
-  if out=$(expect_exit_2 "$label" "$bin" --resume "$garbage"); then
-    # The diagnostic is the last line (a bench may print a banner first).
-    last=$(printf '%s\n' "$out" | tail -n 1)
-    case "$last" in
-      *"$garbage"*) echo "ok   $label: $last" ;;
-      *)
-        echo "FAIL $label: diagnostic does not name the file: $last"
-        fail=1
-        ;;
-    esac
-  else
-    echo "$out"
-    fail=1
-  fi
-  if out=$(expect_exit_2 "$name --no-such-flag" "$bin" --no-such-flag 1); then
-    echo "ok   $name --no-such-flag: $(printf '%s\n' "$out" | tail -n 1)"
-  else
-    echo "$out"
-    fail=1
-  fi
+  case "$name" in
+    fuzz_lp)
+      expect_diagnostic "$name --cases abc" "got: abc" "$bin" --cases abc ;;
+    bench_runtime)
+      expect_diagnostic "$name --shards x" "got: x" "$bin" --shards x \
+        "$no_benchmarks"
+      ;;
+    bench_lp_solver)
+      expect_diagnostic "$name --telemetry-json <unwritable>" "$unwritable" \
+        "$bin" --telemetry-json "$unwritable" "$no_benchmarks"
+      ;;
+    bench_fig* | bench_ablation* | bench_sensitivity)
+      expect_diagnostic "$name --threads x" "--threads" "$bin" --threads x ;;
+    *)
+      expect_diagnostic "$name --resume <garbage>" "$garbage" "$bin" \
+        --resume "$garbage"
+      ;;
+  esac
+  case "$name" in
+    bench_runtime | bench_lp_solver) ;;
+    *)
+      expect_diagnostic "$name --no-such-flag" "--no-such-flag" "$bin" \
+        --no-such-flag 1
+      ;;
+  esac
 done
 exit $fail
