@@ -23,7 +23,7 @@ int run(int argc, char** argv) {
   const std::string telemetry_path = args.get("telemetry-json", "");
   // `--shards N` routes the Metis policy through the sharded decomposition
   // (core/coordinate.h); 1 (default) is the monolithic solve, bit for bit.
-  const int shards = args.get_int("shards", 1);
+  const int shards = bench::checked_shards(args.get_int("shards", 1));
   sim::SimulationConfig config;
   config.base.network = sim::Network::B4;
   config.base.num_requests = args.get_int("requests", 150);

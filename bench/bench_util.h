@@ -58,10 +58,23 @@ inline TableFlags parse_table_flags(int argc, char** argv,
   return flags;
 }
 
+/// A `--shards` value: K >= 1, where 1 is the monolithic solve.  Zero or a
+/// negative count throws, which run_guarded turns into a one-line
+/// diagnostic and exit code 2.
+inline int checked_shards(int shards) {
+  if (shards < 1) {
+    throw std::invalid_argument(
+        "flag --shards expects a positive integer, got: " +
+        std::to_string(shards));
+  }
+  return shards;
+}
+
 /// Parses and REMOVES `--shards N` / `--shards=N` from argv; returns 1
-/// (monolithic) when absent.  Removal matters for the google-benchmark
-/// drivers, whose Initialize() rejects unknown flags; the table benches
-/// parse the same flag through ArgParser instead.
+/// (monolithic) when absent and throws (checked_shards) on N < 1.  Removal
+/// matters for the google-benchmark drivers, whose Initialize() rejects
+/// unknown flags; the table benches parse the same flag through ArgParser
+/// instead.
 inline int take_shards_arg(int& argc, char** argv) {
   int shards = 1;
   int out = 1;
@@ -76,7 +89,7 @@ inline int take_shards_arg(int& argc, char** argv) {
   }
   argc = out;
   argv[argc] = nullptr;
-  return shards > 0 ? shards : 1;
+  return checked_shards(shards);
 }
 
 /// Parses and REMOVES `--telemetry-json <path>` / `--telemetry-json=<path>`

@@ -44,7 +44,6 @@ SpmInstance::SpmInstance(net::Topology topology,
     }
   }
   paths_.reserve(requests_.size());
-  uses_edge_.reserve(requests_.size());
   for (std::size_t idx = 0; idx < requests_.size(); ++idx) {
     const workload::Request& r = requests_[idx];
     paths_.push_back(by_pair.at({r.src, r.dst}));
@@ -68,18 +67,12 @@ SpmInstance::SpmInstance(net::Topology topology,
         candidates.push_back(required);
       }
     }
-    std::vector<std::vector<bool>> bitmap;
-    for (const net::Path& p : paths_.back()) {
-      std::vector<bool> uses(topology_.num_edges(), false);
-      for (net::EdgeId e : p.edges) uses[e] = true;
-      bitmap.push_back(std::move(uses));
-    }
-    uses_edge_.push_back(std::move(bitmap));
   }
 }
 
 bool SpmInstance::path_uses_edge(int i, int j, net::EdgeId e) const {
-  return uses_edge_.at(i).at(j).at(e);
+  const std::vector<net::EdgeId>& edges = paths_.at(i).at(j).edges;
+  return std::find(edges.begin(), edges.end(), e) != edges.end();
 }
 
 }  // namespace metis::core

@@ -58,7 +58,8 @@ class SpmInstance {
   const std::vector<net::Path>& paths(int i) const { return paths_.at(i); }
   int num_paths(int i) const { return static_cast<int>(paths_.at(i).size()); }
 
-  /// I_{i,j,e}: whether edge e lies on path P_{i,j}.
+  /// I_{i,j,e}: whether edge e lies on path P_{i,j} (a scan of the path's
+  /// few edges; bulk builders walk paths(i)[j].edges directly).
   bool path_uses_edge(int i, int j, net::EdgeId e) const;
 
   const InstanceConfig& config() const { return config_; }
@@ -68,8 +69,6 @@ class SpmInstance {
   std::vector<workload::Request> requests_;
   InstanceConfig config_;
   std::vector<std::vector<net::Path>> paths_;
-  // Per (request, path): bitmap over edges for O(1) I_{i,j,e} lookups.
-  std::vector<std::vector<std::vector<bool>>> uses_edge_;
 };
 
 }  // namespace metis::core

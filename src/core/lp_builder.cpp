@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace metis::core {
 
@@ -33,8 +32,7 @@ std::vector<std::vector<int>> add_x_columns(const SpmInstance& instance,
     if (!accepted[i]) continue;
     for (int j = 0; j < instance.num_paths(i); ++j) {
       const double obj = obj_value_factor * instance.request(i).value;
-      x_var[i][j] = problem.add_variable(
-          0.0, 1.0, obj, "x_" + std::to_string(i) + "_" + std::to_string(j));
+      x_var[i][j] = problem.add_variable(0.0, 1.0, obj);
     }
   }
   return x_var;
@@ -45,26 +43,39 @@ std::vector<std::vector<int>> add_x_columns(const SpmInstance& instance,
 /// moves committed load onto the right-hand side (and, in the c_var form,
 /// forces a row wherever pinned load alone requires purchase); zero pinned
 /// entries leave the row byte-identical to the offline build.
+///
+/// One pass over accepted requests -> paths -> path edges -> active slots
+/// buckets the x entries by (e, t); candidate paths are simple, so each
+/// (i, j) lands in a bucket at most once, and the i-then-j pass order keeps
+/// every bucket in ascending (i, j) order.  Rows are then emitted in (e, t)
+/// order.
 std::vector<std::vector<int>> add_capacity_rows(
     const SpmInstance& instance, const std::vector<bool>& accepted,
     const std::vector<std::vector<int>>& x_var, const std::vector<int>& c_var,
     const ChargingPlan* capacities, const LoadMatrix* pinned,
     lp::LinearProblem& problem) {
-  std::vector<std::vector<int>> cap_row(
-      instance.num_edges(), std::vector<int>(instance.num_slots(), -1));
-  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
-    for (int t = 0; t < instance.num_slots(); ++t) {
-      std::vector<lp::RowEntry> entries;
-      for (int i = 0; i < instance.num_requests(); ++i) {
-        if (!accepted[i]) continue;
-        const workload::Request& r = instance.request(i);
-        if (!r.active_at(t)) continue;
-        for (int j = 0; j < instance.num_paths(i); ++j) {
-          if (instance.path_uses_edge(i, j, e)) {
-            entries.push_back({x_var[i][j], r.rate});
-          }
+  const int T = instance.num_slots();
+  std::vector<std::vector<lp::RowEntry>> load(
+      static_cast<std::size_t>(instance.num_edges()) * T);
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    if (!accepted[i]) continue;
+    // SpmInstance validated the window: 0 <= start_slot <= end_slot < T.
+    const workload::Request& r = instance.request(i);
+    for (int j = 0; j < instance.num_paths(i); ++j) {
+      for (net::EdgeId e : instance.paths(i)[j].edges) {
+        for (int t = r.start_slot; t <= r.end_slot; ++t) {
+          load[static_cast<std::size_t>(e) * T + t].push_back(
+              {x_var[i][j], r.rate});
         }
       }
+    }
+  }
+  std::vector<std::vector<int>> cap_row(instance.num_edges(),
+                                        std::vector<int>(T, -1));
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < T; ++t) {
+      std::vector<lp::RowEntry>& entries =
+          load[static_cast<std::size_t>(e) * T + t];
       const double committed = pinned != nullptr ? pinned->at(e, t) : 0.0;
       // In the c_var form a positive committed load still needs a row (the
       // purchase must cover it even when no free request can add to it);
@@ -89,9 +100,8 @@ std::vector<std::vector<int>> add_capacity_rows(
         // purchase to cover the committed load.)
         if (c_var.empty() && rhs < 0) rhs = 0;
       }
-      cap_row[e][t] = problem.add_row(
-          lp::RowType::LessEqual, rhs, std::move(entries),
-          "cap_e" + std::to_string(e) + "_t" + std::to_string(t));
+      cap_row[e][t] =
+          problem.add_row(lp::RowType::LessEqual, rhs, std::move(entries));
     }
   }
   return cap_row;
@@ -107,7 +117,7 @@ void add_assignment_rows(const SpmInstance& instance,
     for (int j = 0; j < instance.num_paths(i); ++j) {
       entries.push_back({x_var[i][j], 1.0});
     }
-    problem.add_row(type, 1.0, std::move(entries), "asg_" + std::to_string(i));
+    problem.add_row(type, 1.0, std::move(entries));
   }
 }
 
@@ -121,8 +131,7 @@ std::vector<int> add_c_columns(const SpmInstance& instance,
     const double sign =
         problem.sense() == lp::Sense::Minimize ? 1.0 : -1.0;
     c_var[e] = problem.add_variable(0.0, lp::kInfinity,
-                                    sign * instance.topology().edge(e).price,
-                                    "c_" + std::to_string(e));
+                                    sign * instance.topology().edge(e).price);
   }
   return c_var;
 }

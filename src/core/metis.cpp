@@ -218,6 +218,19 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
 
 namespace {
 
+/// Reports a relaxation that ended the alternation early.  An Infeasible
+/// relaxation is an expected outcome under pinned commitments on a faulted
+/// network (CommittedBook's shed backoff resolves it and warns itself when
+/// it cannot), so it logs at debug level; any other status is a warning.
+void log_solve_failure(const char* stage, lp::SolveStatus status) {
+  if (status == lp::SolveStatus::Infeasible) {
+    METIS_LOG_DEBUG << "Metis: " << stage << " relaxation infeasible";
+  } else {
+    METIS_LOG_WARN << "Metis: " << stage << " failed with status "
+                   << lp::to_string(status);
+  }
+}
+
 /// Shared body of run_metis / run_metis_incremental.  `committed ==
 /// nullptr` (or an empty committed prefix) is the offline loop: every
 /// pinned structure below is then empty / all-zero, and each use reduces
@@ -333,8 +346,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     result.maa_status = maa.status;
     result.lp_stats += maa.lp_stats;
     if (!maa.ok()) {
-      METIS_LOG_WARN << "Metis: MAA failed with status "
-                     << lp::to_string(maa.status);
+      log_solve_failure("MAA", maa.status);
       break;
     }
     iter.profit_after_maa = record(maa.schedule, maa.plan).profit;
@@ -368,8 +380,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     result.taa_status = taa.status;
     result.lp_stats += taa.lp_stats;
     if (!taa.ok()) {
-      METIS_LOG_WARN << "Metis: TAA failed with status "
-                     << lp::to_string(taa.status);
+      log_solve_failure("TAA", taa.status);
       result.history.push_back(iter);
       ++result.iterations_run;
       break;

@@ -7,7 +7,9 @@
 // `factorize` can report a singular basis and the solve must survive it.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -48,8 +50,9 @@ struct Tableau {
   }
 };
 
-/// Sparse LU factorization of the basis (left-looking elimination with
-/// partial pivoting; deterministic ties to the smallest row index) plus a
+/// Sparse LU factorization of the basis (left-looking elimination in basis
+/// order with partial pivoting; deterministic ties to the smallest row
+/// index; each column visits only the earlier pivots it reaches) plus a
 /// product-form eta file appended per pivot between refactorizations.
 ///
 /// The factorization satisfies  P * (prod_j Lhat_j) * B = U  where Lhat_j
@@ -74,10 +77,17 @@ class BasisFactor {
     std::vector<char> seen(m_, 0);
     std::vector<int> touched;
     touched.reserve(m_);
+    // Min-heap of the earlier pivot positions whose pivot row the column
+    // has touched: the only pivots that can have a nonzero to eliminate.
+    std::vector<int> reach;
     const auto touch = [&](int r) {
       if (!seen[r]) {
         seen[r] = 1;
         touched.push_back(r);
+        if (pivot_pos[r] >= 0) {
+          reach.push_back(pivot_pos[r]);
+          std::push_heap(reach.begin(), reach.end(), std::greater<>());
+        }
       }
     };
     for (int k = 0; k < m_; ++k) {
@@ -86,10 +96,17 @@ class BasisFactor {
         x[col.row[i]] = col.coef[i];
         touch(col.row[i]);
       }
-      // Left-looking: apply earlier pivots in order; the value sitting on
-      // pivot row j right before its elimination is exactly U's entry u_jk.
+      // Left-looking: apply earlier pivots in ascending order; the value
+      // sitting on pivot row j right before its elimination is exactly U's
+      // entry u_jk.  Pivot j's multipliers sit on rows claimed after j (or
+      // not yet), so every position it pushes is larger than j and the heap
+      // yields the same ascending sequence as a scan of j = 0..k-1 that
+      // skips the zeros.
       UCol& u = ucols_[k];
-      for (int j = 0; j < k; ++j) {
+      while (!reach.empty()) {
+        std::pop_heap(reach.begin(), reach.end(), std::greater<>());
+        const int j = reach.back();
+        reach.pop_back();
         const double xr = x[pivot_row_[j]];
         if (xr == 0.0) continue;
         u.pos.push_back(j);

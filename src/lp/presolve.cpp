@@ -22,47 +22,55 @@ struct Work {
     bool alive = true;
   };
   std::vector<WRow> rows;
+  /// Rows each column appears in after loading (ascending).  Eliminations
+  /// only remove entries, so this stays a superset of the live occurrences.
+  std::vector<std::vector<int>> col_rows;
 };
 
 Work load(const LinearProblem& p) {
+  const int n = p.num_variables();
   Work w;
   w.sense = p.sense();
   w.obj = p.objective();
-  w.lb.resize(p.num_variables());
-  w.ub.resize(p.num_variables());
-  for (int j = 0; j < p.num_variables(); ++j) {
+  w.lb.resize(n);
+  w.ub.resize(n);
+  for (int j = 0; j < n; ++j) {
     w.lb[j] = p.lower_bound(j);
     w.ub[j] = p.upper_bound(j);
   }
-  w.col_alive.assign(p.num_variables(), true);
+  w.col_alive.assign(n, true);
   w.rows.resize(p.num_rows());
+  w.col_rows.resize(n);
+  // last_row[j] / slot[j]: the row that last referenced column j and the
+  // index of its merged entry there.
+  std::vector<int> last_row(n, -1), slot(n, 0);
   for (int r = 0; r < p.num_rows(); ++r) {
     const Row& row = p.row(r);
+    std::vector<RowEntry>& entries = w.rows[r].entries;
     w.rows[r].type = row.type;
     w.rows[r].rhs = row.rhs;
-    // Merge duplicate column references.
+    // Merge duplicate column references, keeping first-occurrence order.
     for (const RowEntry& e : row.entries) {
-      bool merged = false;
-      for (RowEntry& existing : w.rows[r].entries) {
-        if (existing.col == e.col) {
-          existing.coef += e.coef;
-          merged = true;
-          break;
-        }
+      if (last_row[e.col] == r) {
+        entries[slot[e.col]].coef += e.coef;
+      } else {
+        last_row[e.col] = r;
+        slot[e.col] = static_cast<int>(entries.size());
+        entries.push_back(e);
       }
-      if (!merged) w.rows[r].entries.push_back(e);
     }
     // Drop exact-zero coefficients.
-    std::erase_if(w.rows[r].entries,
-                  [](const RowEntry& e) { return e.coef == 0.0; });
+    std::erase_if(entries, [](const RowEntry& e) { return e.coef == 0.0; });
+    for (const RowEntry& e : entries) w.col_rows[e.col].push_back(r);
   }
   return w;
 }
 
-/// Substitutes a fixed column's value into all rows and kills the column.
+/// Substitutes a fixed column's value into its rows and kills the column.
 void eliminate_fixed(Work& w, int col, double value) {
   w.col_alive[col] = false;
-  for (auto& row : w.rows) {
+  for (int r : w.col_rows[col]) {
+    auto& row = w.rows[r];
     if (!row.alive) continue;
     for (std::size_t k = 0; k < row.entries.size(); ++k) {
       if (row.entries[k].col == col) {
@@ -317,8 +325,7 @@ PresolveResult presolve(const LinearProblem& problem, double tol) {
       ++result.removed_columns;
       continue;
     }
-    result.col_map[j] = result.reduced.add_variable(
-        w.lb[j], w.ub[j], w.obj[j], problem.variable_name(j));
+    result.col_map[j] = result.reduced.add_variable(w.lb[j], w.ub[j], w.obj[j]);
   }
   for (int r = 0; r < problem.num_rows(); ++r) {
     const auto& row = w.rows[r];

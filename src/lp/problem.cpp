@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace metis::lp {
 
@@ -24,24 +25,21 @@ double MipResult::gap() const {
   return std::abs(objective - best_bound) / denom;
 }
 
-int LinearProblem::add_variable(double lower, double upper, double obj,
-                                std::string name) {
+int LinearProblem::add_variable(double lower, double upper, double obj) {
   if (std::isnan(lower) || std::isnan(upper) || std::isnan(obj)) {
     throw std::invalid_argument("add_variable: NaN input");
   }
   if (lower > upper) {
-    throw std::invalid_argument("add_variable: lower > upper for " + name);
+    throw std::invalid_argument("add_variable: lower > upper");
   }
   obj_.push_back(obj);
   lower_.push_back(lower);
   upper_.push_back(upper);
-  names_.push_back(name.empty() ? "x" + std::to_string(obj_.size() - 1)
-                                : std::move(name));
   return static_cast<int>(obj_.size()) - 1;
 }
 
-int LinearProblem::add_row(RowType type, double rhs, std::vector<RowEntry> entries,
-                           std::string name) {
+int LinearProblem::add_row(RowType type, double rhs,
+                           std::vector<RowEntry> entries) {
   if (std::isnan(rhs)) throw std::invalid_argument("add_row: NaN rhs");
   for (const RowEntry& e : entries) {
     if (e.col < 0 || e.col >= num_variables()) {
@@ -49,7 +47,7 @@ int LinearProblem::add_row(RowType type, double rhs, std::vector<RowEntry> entri
     }
     if (std::isnan(e.coef)) throw std::invalid_argument("add_row: NaN coefficient");
   }
-  rows_.push_back(Row{type, rhs, std::move(entries), std::move(name)});
+  rows_.push_back(Row{type, rhs, std::move(entries)});
   return static_cast<int>(rows_.size()) - 1;
 }
 
@@ -105,14 +103,14 @@ void LinearProblem::validate() const {
   for (int j = 0; j < num_variables(); ++j) {
     if (lower_[j] > upper_[j]) {
       throw std::invalid_argument("validate: lower > upper on column " +
-                                  names_[j]);
+                                  std::to_string(j));
     }
   }
-  for (const Row& row : rows_) {
-    for (const RowEntry& e : row.entries) {
+  for (int r = 0; r < num_rows(); ++r) {
+    for (const RowEntry& e : rows_[r].entries) {
       if (e.col < 0 || e.col >= num_variables()) {
         throw std::invalid_argument("validate: bad column index in row " +
-                                    row.name);
+                                    std::to_string(r));
       }
     }
   }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "lp/types.h"
@@ -34,7 +33,6 @@ struct Row {
   RowType type = RowType::LessEqual;
   double rhs = 0;
   std::vector<RowEntry> entries;  ///< the nonzeros of a_k, any column order
-  std::string name;               ///< optional label for diagnostics
 };
 
 /// The solver-agnostic column/row model (see the file comment for the
@@ -47,13 +45,12 @@ class LinearProblem {
 
   /// Adds a column with bounds [lower, upper] and objective coefficient obj.
   /// Returns the column index.  lower may be -kInfinity, upper +kInfinity.
-  int add_variable(double lower, double upper, double obj, std::string name = "");
+  int add_variable(double lower, double upper, double obj);
 
   /// Adds a constraint row.  Entries may reference any existing column; the
   /// same column may appear multiple times (coefficients are summed by the
   /// solver).  Returns the row index.
-  int add_row(RowType type, double rhs, std::vector<RowEntry> entries,
-              std::string name = "");
+  int add_row(RowType type, double rhs, std::vector<RowEntry> entries);
 
   Sense sense() const { return sense_; }
   void set_sense(Sense sense) { sense_ = sense; }
@@ -72,7 +69,6 @@ class LinearProblem {
   const Row& row(int r) const { return rows_.at(r); }
   const std::vector<Row>& rows() const { return rows_; }
   const std::vector<double>& objective() const { return obj_; }
-  const std::string& variable_name(int col) const { return names_.at(col); }
 
   /// c^T x for a full assignment.
   double objective_value(std::span<const double> x) const;
@@ -94,7 +90,6 @@ class LinearProblem {
   std::vector<double> obj_;
   std::vector<double> lower_;
   std::vector<double> upper_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -30,8 +29,11 @@ constexpr int kRefactorInterval = 100;
 /// rule, which guarantees termination.
 constexpr int kBlandThreshold = 64;
 
-/// Builds sparse columns from the row-wise LinearProblem, merging duplicate
-/// column references within a row.
+/// Builds sparse columns from the row-wise LinearProblem by counting sort:
+/// rows are visited in ascending order, so each column's entries arrive
+/// sorted by row and a row's duplicate references to one column land next
+/// to each other, where they are summed in row-entry order.  Exact-zero
+/// sums are dropped.
 void build_structural(const LinearProblem& p, Tableau& t) {
   t.m = p.num_rows();
   t.n_struct = p.num_variables();
@@ -42,20 +44,34 @@ void build_structural(const LinearProblem& p, Tableau& t) {
     t.lb[j] = p.lower_bound(j);
     t.ub[j] = p.upper_bound(j);
   }
-  // Collect (row, col) -> coef with duplicate merging.
-  std::vector<std::map<int, double>> by_col(t.n_struct);
-  for (int r = 0; r < t.m; ++r) {
-    for (const RowEntry& e : p.row(r).entries) {
-      by_col[e.col][r] += e.coef;
-    }
+  std::vector<int> count(t.n_struct, 0);
+  for (const Row& row : p.rows()) {
+    for (const RowEntry& e : row.entries) ++count[e.col];
   }
   for (int j = 0; j < t.n_struct; ++j) {
-    for (const auto& [r, c] : by_col[j]) {
-      if (c != 0.0) {
-        t.cols[j].row.push_back(r);
-        t.cols[j].coef.push_back(c);
+    t.cols[j].row.reserve(count[j]);
+    t.cols[j].coef.reserve(count[j]);
+  }
+  for (int r = 0; r < t.m; ++r) {
+    for (const RowEntry& e : p.row(r).entries) {
+      Column& col = t.cols[e.col];
+      if (!col.row.empty() && col.row.back() == r) {
+        col.coef.back() += e.coef;
+      } else {
+        col.row.push_back(r);
+        col.coef.push_back(e.coef);
       }
     }
+  }
+  for (Column& col : t.cols) {
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < col.row.size(); ++k) {
+      if (col.coef[k] == 0.0) continue;
+      col.row[kept] = col.row[k];
+      col.coef[kept++] = col.coef[k];
+    }
+    col.row.resize(kept);
+    col.coef.resize(kept);
   }
   t.b.resize(t.m);
   for (int r = 0; r < t.m; ++r) t.b[r] = p.row(r).rhs;
@@ -675,7 +691,7 @@ Scaled scale_problem(const LinearProblem& p) {
     const double ub = p.upper_bound(j);
     s.problem.add_variable(std::isfinite(lb) ? lb / c : lb,
                            std::isfinite(ub) ? ub / c : ub,
-                           p.objective_coef(j) * c, p.variable_name(j));
+                           p.objective_coef(j) * c);
   }
   for (int r = 0; r < m; ++r) {
     const Row& row = p.row(r);
@@ -684,8 +700,7 @@ Scaled scale_problem(const LinearProblem& p) {
     for (const RowEntry& e : row.entries) {
       entries.push_back({e.col, e.coef * s.row[r] * s.col[e.col]});
     }
-    s.problem.add_row(row.type, row.rhs * s.row[r], std::move(entries),
-                      row.name);
+    s.problem.add_row(row.type, row.rhs * s.row[r], std::move(entries));
   }
   return s;
 }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "sim/validate.h"
+#include "util/log.h"
 #include "util/telemetry.h"
 #include "workload/request.h"
 
@@ -343,17 +344,24 @@ core::MetisResult CommittedBook::decide_pending(Rng& rng) {
   // lowest-value commitments and re-solve.  Shedding strictly shrinks the
   // pinned load, so a feasible point is reached (at the latest with an
   // empty pinned set) or the round bound trips.
+  // The infeasible attempts this loop resolves are expected and log only
+  // at debug level (core/metis.cpp); a repair that stays infeasible warns.
+  const auto infeasible = [](const Attempt& a) {
+    return a.result.maa_status == lp::SolveStatus::Infeasible ||
+           a.result.taa_status == lp::SolveStatus::Infeasible;
+  };
   int shed = 1;
-  for (int round = 0; round < repair_.max_shed_rounds; ++round) {
-    const bool infeasible =
-        attempt.result.maa_status == lp::SolveStatus::Infeasible ||
-        attempt.result.taa_status == lp::SolveStatus::Infeasible;
-    if (!infeasible) break;
+  int rounds = 0;
+  for (; rounds < repair_.max_shed_rounds && infeasible(attempt); ++rounds) {
     if (shed_lowest_value(shed) == 0) break;
     ++stats_.shed_rounds;
     telemetry::count("fault.shed_rounds");
     shed *= 2;
     attempt = attempt_decide(rng);
+  }
+  if (infeasible(attempt)) {
+    METIS_LOG_WARN << "CommittedBook: repair still infeasible after "
+                   << rounds << " shed round(s)";
   }
 
   // Finalize the free decisions: accepted joins the committed book on its

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/lp_builder.h"
@@ -368,6 +369,21 @@ TEST(OnlineFaults, ReplayIsDeterministicAndValid) {
   EXPECT_EQ(a.fault_book.size(), a.fault_paths.size());
   EXPECT_EQ(a.schedule.num_accepted(), a.total_accepted);
   EXPECT_GE(a.net_profit, a.profit.profit - a.refunds - 1e-9);
+}
+
+TEST(OnlineFaults, ResolvedShedBackoffPrintsNoWarning) {
+  // At θ=16 this replay's repairs go infeasible under their pinned
+  // commitments and the shed backoff resolves them.  Those infeasible
+  // relaxations are expected, so nothing may be logged at WARN level.
+  OnlineConfig config = online_config(2, 1.0, RepairPolicy::Reroute);
+  config.base.num_requests = 64;
+  config.batch_size = 8;
+  config.metis.theta = 16;
+  testing::internal::CaptureStderr();
+  const OnlineResult result = OnlineAdmissionSimulator(config).run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_GT(result.fault_stats.shed_rounds, 0);
+  EXPECT_EQ(err.find("[WARN]"), std::string::npos) << err;
 }
 
 TEST(OnlineFaults, DecisionsInvariantAcrossRoundingThreads) {

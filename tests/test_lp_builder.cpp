@@ -3,11 +3,19 @@
 // instances.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/accounting.h"
 #include "core/instance.h"
 #include "core/lp_builder.h"
 #include "lp/mip.h"
 #include "lp/simplex.h"
+#include "net/topologies.h"
+#include "util/rng.h"
+#include "workload/generator.h"
 
 namespace metis::core {
 namespace {
@@ -356,6 +364,172 @@ TEST(Builder, CapacityDualsAreShadowPrices) {
   ASSERT_GE(row, 0);
   // One more unit admits the displaced bid worth 2 (its rate is 1).
   EXPECT_NEAR(std::abs(sol.duals[row]), 2.0, 1e-6);
+}
+
+// ------------------------------------------- capacity-row equivalence ---
+
+/// The capacity rows as a scan over every (edge, slot) and, inside it,
+/// every accepted (request, path) builds them: the reference the bucketed
+/// one-pass builder must reproduce exactly (row order, entry order,
+/// coefficients, right-hand sides and the cap_row map).
+struct ReferenceRows {
+  std::vector<lp::Row> rows;
+  std::vector<std::vector<int>> cap_row;
+};
+
+ReferenceRows reference_capacity_rows(const SpmInstance& instance,
+                                      const std::vector<bool>& accepted,
+                                      const SpmModel& model,
+                                      const ChargingPlan* capacities,
+                                      const LoadMatrix* pinned,
+                                      int first_row) {
+  ReferenceRows ref;
+  ref.cap_row.assign(instance.num_edges(),
+                     std::vector<int>(instance.num_slots(), -1));
+  const bool c_form = !model.c_var.empty();
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < instance.num_slots(); ++t) {
+      lp::Row row;
+      for (int i = 0; i < instance.num_requests(); ++i) {
+        if (!accepted[i]) continue;
+        const workload::Request& r = instance.request(i);
+        if (!r.active_at(t)) continue;
+        for (int j = 0; j < instance.num_paths(i); ++j) {
+          if (instance.path_uses_edge(i, j, e)) {
+            row.entries.push_back({model.x_var[i][j], r.rate});
+          }
+        }
+      }
+      const double committed = pinned != nullptr ? pinned->at(e, t) : 0.0;
+      if (row.entries.empty() && (!c_form || committed <= 0)) continue;
+      if (c_form) {
+        row.entries.push_back({model.c_var[e], -1.0});
+      } else {
+        row.rhs = capacities->units.at(e);
+      }
+      if (committed > 0) {
+        row.rhs -= committed;
+        if (!c_form && row.rhs < 0) row.rhs = 0;
+      }
+      ref.cap_row[e][t] = first_row + static_cast<int>(ref.rows.size());
+      ref.rows.push_back(std::move(row));
+    }
+  }
+  return ref;
+}
+
+/// Compares `model`'s capacity rows (everything after the assignment rows)
+/// against the reference scan, exactly.
+void expect_reference_capacity_rows(const SpmInstance& instance,
+                                    std::vector<bool> accepted,
+                                    const SpmModel& model,
+                                    const ChargingPlan* capacities,
+                                    const LoadMatrix* pinned) {
+  if (accepted.empty()) accepted.assign(instance.num_requests(), true);
+  int first_row = 0;
+  for (bool a : accepted) first_row += a ? 1 : 0;  // one assignment row each
+  const ReferenceRows ref = reference_capacity_rows(
+      instance, accepted, model, capacities, pinned, first_row);
+  ASSERT_EQ(model.problem.num_rows(),
+            first_row + static_cast<int>(ref.rows.size()));
+  EXPECT_EQ(model.cap_row, ref.cap_row);
+  for (std::size_t k = 0; k < ref.rows.size(); ++k) {
+    const lp::Row& got = model.problem.row(first_row + static_cast<int>(k));
+    const lp::Row& want = ref.rows[k];
+    EXPECT_EQ(got.type, lp::RowType::LessEqual) << "row " << k;
+    EXPECT_EQ(got.rhs, want.rhs) << "row " << k;
+    ASSERT_EQ(got.entries.size(), want.entries.size()) << "row " << k;
+    for (std::size_t n = 0; n < want.entries.size(); ++n) {
+      EXPECT_EQ(got.entries[n].col, want.entries[n].col) << "row " << k;
+      EXPECT_EQ(got.entries[n].coef, want.entries[n].coef) << "row " << k;
+    }
+  }
+}
+
+/// A generated B4 bid book: enough requests that most (edge, slot) pairs
+/// carry several overlapping paths.
+SpmInstance b4_instance(int count, std::uint64_t seed) {
+  const net::Topology topo = net::make_b4();
+  const workload::RequestGenerator generator(topo, workload::GeneratorConfig{});
+  Rng rng(seed);
+  return SpmInstance(topo, generator.generate(count, rng));
+}
+
+/// Pinned committed loads on roughly a third of the (edge, slot) pairs.
+LoadMatrix random_pinned(const SpmInstance& instance, std::uint64_t seed) {
+  LoadMatrix pinned(instance.num_edges(), instance.num_slots());
+  Rng rng(seed);
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < instance.num_slots(); ++t) {
+      if (rng.uniform(0, 1) < 0.33) pinned.add(e, t, rng.uniform(0.05, 3.0));
+    }
+  }
+  return pinned;
+}
+
+TEST(BuilderEquivalence, CapacityRowsMatchEdgeSlotScan) {
+  const SpmInstance instance = b4_instance(60, 11);
+  std::vector<bool> some(instance.num_requests(), true);
+  for (int i = 0; i < instance.num_requests(); i += 3) some[i] = false;
+  const LoadMatrix pinned = random_pinned(instance, 12);
+  ChargingPlan caps = ChargingPlan::none(instance.num_edges());
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    caps.units[e] = e % 4;  // some capacities below the pinned load
+  }
+  std::vector<int> purchase_cap(instance.num_edges(), -1);
+  for (net::EdgeId e = 0; e < instance.num_edges(); e += 2) {
+    purchase_cap[e] = 1;
+  }
+  const std::vector<bool> all;
+  const std::vector<bool>* const masks[] = {&all, &some};
+  const LoadMatrix* const pins[] = {nullptr, &pinned};
+  for (const std::vector<bool>* mask : masks) {
+    const std::vector<bool>& accepted = *mask;
+    for (const LoadMatrix* pin : pins) {
+      SCOPED_TRACE(std::string(accepted.empty() ? "all" : "subset") +
+                   (pin != nullptr ? ", pinned" : ", unpinned"));
+      expect_reference_capacity_rows(
+          instance, accepted, build_rl_spm(instance, accepted, pin), nullptr,
+          pin);
+      expect_reference_capacity_rows(
+          instance, accepted,
+          build_rl_spm(instance, accepted, pin, &purchase_cap), nullptr, pin);
+      expect_reference_capacity_rows(
+          instance, accepted, build_bl_spm(instance, caps, accepted, {}, pin),
+          &caps, pin);
+    }
+  }
+}
+
+TEST(BuilderEquivalence, RequiredPathsMatchEdgeSlotScan) {
+  // With one candidate per pair Yen keeps only the cheap 0-1-3 route; the
+  // required 0-2-3 route is appended to request 0's candidate set.
+  InstanceConfig config;
+  config.num_slots = 6;
+  config.max_paths = 1;
+  std::vector<workload::Request> requests = {
+      {0, 3, 0, 3, 0.6, 5.0},
+      {0, 3, 2, 5, 0.7, 4.0},
+      {0, 2, 1, 4, 0.3, 2.0},
+  };
+  const net::Path detour{{2, 3}};
+  const std::vector<net::Path> require = {detour, {}, {}};
+  const SpmInstance instance(diamond(), std::move(requests), config, nullptr,
+                             &require);
+  ASSERT_EQ(instance.num_paths(0), 2);
+  ASSERT_EQ(instance.paths(0)[1], detour);
+  LoadMatrix pinned(instance.num_edges(), instance.num_slots());
+  pinned.add(3, 5, 0.4);  // no free request loads edge 3 in slot 5
+  pinned.add(3, 0, 2.5);
+  ChargingPlan caps;
+  caps.units.assign(instance.num_edges(), 2);
+  const LoadMatrix* const pins[] = {nullptr, &pinned};
+  for (const LoadMatrix* pin : pins) {
+    expect_reference_capacity_rows(instance, {}, build_rl_spm(instance, {}, pin),
+                                   nullptr, pin);
+    expect_reference_capacity_rows(
+        instance, {}, build_bl_spm(instance, caps, {}, {}, pin), &caps, pin);
+  }
 }
 
 TEST(Builder, PlanFromSolutionRequiresCVars) {

@@ -110,6 +110,37 @@ TEST(BasisFactor, FtranBtranInvertTheBasisAcrossAnEtaUpdate) {
   expect_solves(t, f, {2, -1, 0.5, 3}, {1, -2, 4, 0.25});
 }
 
+TEST(BasisFactor, SparseReachEliminatesInPositionOrder) {
+  // Each of a0..a3 pivots on its largest entry: rows 0, 1, 2, 3 at
+  // positions 0..3, with multipliers onto rows 1, 2, 3, 4.  a4 touches rows
+  // 1 and 3 (positions 1 and 3); eliminating position 1 fills row 2, so
+  // position 2 is reached only after position 3 was already queued, and
+  // the elimination must still run 1, 2, 3 (out of order, row 3's entry of
+  // U would miss position 2's fill and the solves below would fail).
+  Tableau t = make_tableau(5, {{{0, 1}, {1.0, 0.5}},
+                               {{1, 2}, {2.0, 1.0}},
+                               {{2, 3}, {3.0, 1.0}},
+                               {{3, 4}, {4.0, 1.0}},
+                               {{1, 3}, {1.0, 2.0}},
+                               {{0, 4}, {1.0, -2.0}}});
+  set_basis(t, {0, 1, 2, 3, 4});
+  BasisFactor f;
+  ASSERT_TRUE(f.factorize(t, t.basis));
+  const std::vector<double> a = {1, -2, 0.5, 3, -1};
+  const std::vector<double> c = {0.5, 2, -1, 4, 1};
+  expect_solves(t, f, a, c);
+
+  // a5 replaces a2 at position 2 through a product-form eta.
+  std::vector<double> w = dense(t, 5), z;
+  f.ftran(w, z);
+  ASSERT_NE(z[2], 0.0);
+  f.push_eta(2, z);
+  t.basis_row[2] = -1;
+  t.status[2] = VarStatus::AtLower;
+  t.set_basic(5, 2, 0.0);
+  expect_solves(t, f, a, c);
+}
+
 TEST(BasisRepair, SwapsInTheSmallestUnclaimedRowWithANonbasicSlack) {
   // a1 = 2 * a0, so the basis (a0, a1, s1, a2) is singular at position 1.
   // Rows 1, 2 and 3 are unclaimed there; row 1's slack is already basic

@@ -286,7 +286,7 @@ TEST(WarmStart, DegenerateTiedRatiosStayPrimalFeasible) {
   // basis so presolve cannot reduce the crafted rows away; harris = false
   // exercises the textbook path.
   LinearProblem p(Sense::Maximize);
-  const int x = p.add_variable(0.0, 10.0, 1.0, "x");
+  const int x = p.add_variable(0.0, 10.0, 1.0);
   p.add_row(RowType::LessEqual, 1.0 + 0.9e-7, {{x, 1.0}});
   p.add_row(RowType::LessEqual, 1000.0, {{x, 1000.0}});
 

@@ -4,13 +4,14 @@
 # code 2, its last output line (the one-line diagnostic) naming the bad
 # value:
 #   * fuzz_lp: a non-integer `--cases`;
-#   * bench_runtime: a non-integer `--shards`;
+#   * bench_runtime: a non-integer, a zero and a negative `--shards`;
 #   * bench_lp_solver: a `--telemetry-json` path that cannot be written;
 #   * the bench_fig*/bench_ablation*/bench_sensitivity table benches:
 #     `--threads x` (a malformed value where the bench declares the flag,
 #     an undeclared flag where it does not);
 #   * anything else (the checkpointing benches and examples): `--resume`
-#     pointing at a file that is not a checkpoint.
+#     pointing at a file that is not a checkpoint; bench_multi_cycle also
+#     a zero `--shards`.
 # Every binary except the two google-benchmark drivers (whose own flag
 # parser exits 1 on unknown flags) must also exit 2 on an undeclared flag.
 # Registered as the `tooling`-labeled ctest check_resume_diagnostic (see the
@@ -64,8 +65,10 @@ for bin in "$@"; do
     fuzz_lp)
       expect_diagnostic "$name --cases abc" "got: abc" "$bin" --cases abc ;;
     bench_runtime)
-      expect_diagnostic "$name --shards x" "got: x" "$bin" --shards x \
-        "$no_benchmarks"
+      for shards in x 0 -3; do
+        expect_diagnostic "$name --shards $shards" "got: $shards" "$bin" \
+          --shards "$shards" "$no_benchmarks"
+      done
       ;;
     bench_lp_solver)
       expect_diagnostic "$name --telemetry-json <unwritable>" "$unwritable" \
@@ -77,6 +80,10 @@ for bin in "$@"; do
       expect_diagnostic "$name --resume <garbage>" "$garbage" "$bin" \
         --resume "$garbage"
       ;;
+  esac
+  case "$name" in
+    bench_multi_cycle)
+      expect_diagnostic "$name --shards 0" "got: 0" "$bin" --shards 0 ;;
   esac
   case "$name" in
     bench_runtime | bench_lp_solver) ;;
