@@ -122,9 +122,11 @@ MipResult MipSolver::solve(const LinearProblem& problem,
 
   // --- Root node ---
   // One basis snapshot threads through the whole tree: each node tries to
-  // warm-start from the most recent optimal basis (parent or sibling —
-  // usually one bound change away) and silently cold-starts when the
-  // snapshot is not primal feasible under the node's bounds.
+  // warm-start from the most recent optimal basis (parent or sibling) and
+  // silently cold-starts when the snapshot is not primal feasible under the
+  // node's bounds.  That is the common case: branching moves a bound of a
+  // basic column, so the primal simplex rarely accepts the parent basis
+  // (183 of 7,368 node solves on six SUB-B4 K=16 SPM books).
   Basis basis;
   LpSolution root = lp.solve(work, &basis);
   result.lp_stats += root.stats;

@@ -1,5 +1,6 @@
 #include "lp/presolve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -202,6 +203,23 @@ Basis PresolveResult::lift_basis(const LinearProblem& original,
                                                    row_map[r]]
                             : BasisStatus::Basic;
   }
+  return out;
+}
+
+Basis PresolveResult::restrict_basis(const Basis& full) const {
+  Basis out;
+  const int n = static_cast<int>(col_map.size());
+  if (!full.compatible(n, static_cast<int>(row_map.size()))) return out;
+  out.status.reserve(reduced.num_variables() + reduced.num_rows());
+  for (int j = 0; j < n; ++j) {
+    if (col_map[j] >= 0) out.status.push_back(full.status[j]);
+  }
+  for (std::size_t r = 0; r < row_map.size(); ++r) {
+    if (row_map[r] >= 0) out.status.push_back(full.status[n + r]);
+  }
+  const auto basic =
+      std::count(out.status.begin(), out.status.end(), BasisStatus::Basic);
+  if (basic != reduced.num_rows()) out.clear();
   return out;
 }
 

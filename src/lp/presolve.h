@@ -13,8 +13,11 @@
 // supports the optimum at a presolve-tightened bound receives the reduced
 // cost of its column as its multiplier — the lifted solution satisfies the
 // original problem's KKT conditions (test_lp_presolve certifies this).
-// SimplexSolver runs this pipeline internally by default; see
-// SimplexOptions::presolve for the bypass conditions.
+// SimplexSolver runs every solve through this pipeline: a caller's
+// full-space warm-start basis is restricted to the reduced model
+// (`restrict_basis`) and the reduced optimal basis lifted back
+// (`lift_basis`).  Only a presolve `unbounded` verdict sends the solve to
+// the unpresolved model.
 #pragma once
 
 #include <vector>
@@ -74,6 +77,13 @@ struct PresolveResult {
   /// rest at the bound equal to their fixed value, and slacks of eliminated
   /// rows become basic (an always-nonsingular, primal-feasible completion).
   Basis lift_basis(const LinearProblem& original, const Basis& reduced) const;
+
+  /// The inverse of `lift_basis`: restricts a snapshot of the original
+  /// problem to the reduced one — surviving columns and surviving rows'
+  /// slacks keep their status.  Empty when `full` does not fit the
+  /// original shape or the restriction does not hold exactly one basic
+  /// column per reduced row.
+  Basis restrict_basis(const Basis& full) const;
 
   /// Maps original column indices (e.g. an integrality list) into reduced
   /// space, dropping eliminated ones.

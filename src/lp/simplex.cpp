@@ -135,11 +135,14 @@ class Engine {
     }
   }
 
-  /// Attempts to adopt a basis snapshot: shape-compatible, exactly m basic
-  /// columns, factorizable, and the implied basic values within bounds.
+  /// Attempts to adopt a basis snapshot: non-empty, shape-compatible,
+  /// exactly m basic columns, factorizable, and the implied basic values
+  /// within bounds.
   /// On rejection the engine is left for init_basis() to (re)set.
   bool try_warm_start(const Basis& snapshot) {
-    if (!snapshot.compatible(t_.n_struct, t_.m)) return false;
+    if (snapshot.empty() || !snapshot.compatible(t_.n_struct, t_.m)) {
+      return false;
+    }
     const int total = t_.num_cols();
     std::vector<VarStatus> status(total);
     std::vector<int> basic;
@@ -640,73 +643,6 @@ class Engine {
 
 }  // namespace
 
-namespace {
-
-/// Geometric-mean equilibration: substitute x_j = col[j] * x'_j and multiply
-/// row i by row[i] so that nonzero magnitudes cluster around 1.
-struct Scaled {
-  LinearProblem problem;
-  std::vector<double> row;  // row multipliers
-  std::vector<double> col;  // column multipliers (x = col .* x')
-};
-
-Scaled scale_problem(const LinearProblem& p) {
-  const int n = p.num_variables();
-  const int m = p.num_rows();
-  Scaled s;
-  s.row.assign(m, 1.0);
-  s.col.assign(n, 1.0);
-  const auto geo = [](double lo, double hi) { return std::sqrt(lo * hi); };
-  for (int pass = 0; pass < 3; ++pass) {
-    // Rows.
-    for (int r = 0; r < m; ++r) {
-      double lo = 0, hi = 0;
-      for (const RowEntry& e : p.row(r).entries) {
-        const double a = std::abs(e.coef) * s.col[e.col] * s.row[r];
-        if (a == 0) continue;
-        if (lo == 0 || a < lo) lo = a;
-        if (a > hi) hi = a;
-      }
-      if (hi > 0) s.row[r] /= geo(lo, hi);
-    }
-    // Columns.
-    std::vector<double> col_lo(n, 0), col_hi(n, 0);
-    for (int r = 0; r < m; ++r) {
-      for (const RowEntry& e : p.row(r).entries) {
-        const double a = std::abs(e.coef) * s.col[e.col] * s.row[r];
-        if (a == 0) continue;
-        if (col_lo[e.col] == 0 || a < col_lo[e.col]) col_lo[e.col] = a;
-        if (a > col_hi[e.col]) col_hi[e.col] = a;
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      if (col_hi[j] > 0) s.col[j] /= geo(col_lo[j], col_hi[j]);
-    }
-  }
-  // Assemble the scaled problem.
-  s.problem.set_sense(p.sense());
-  for (int j = 0; j < n; ++j) {
-    const double c = s.col[j];
-    const double lb = p.lower_bound(j);
-    const double ub = p.upper_bound(j);
-    s.problem.add_variable(std::isfinite(lb) ? lb / c : lb,
-                           std::isfinite(ub) ? ub / c : ub,
-                           p.objective_coef(j) * c);
-  }
-  for (int r = 0; r < m; ++r) {
-    const Row& row = p.row(r);
-    std::vector<RowEntry> entries;
-    entries.reserve(row.entries.size());
-    for (const RowEntry& e : row.entries) {
-      entries.push_back({e.col, e.coef * s.row[r] * s.col[e.col]});
-    }
-    s.problem.add_row(row.type, row.rhs * s.row[r], std::move(entries));
-  }
-  return s;
-}
-
-}  // namespace
-
 LpSolution SimplexSolver::solve(const LinearProblem& problem) const {
   return solve(problem, nullptr);
 }
@@ -718,65 +654,28 @@ LpSolution SimplexSolver::solve(const LinearProblem& problem,
   problem.validate();
   LpSolution sol;
   bool warm_used = false;
-
-  if (options_.scale) {
-    // Scaled path: statuses are scale-invariant, so a snapshot carries
-    // over; presolve is skipped (its bookkeeping is in unscaled space).
-    const Scaled scaled = scale_problem(problem);
-    Engine engine(scaled.problem, options_);
-    warm_used = basis != nullptr && engine.try_warm_start(*basis);
-    sol = engine.run(warm_used);
-    if (sol.status == SolveStatus::Optimal) {
-      for (int j = 0; j < problem.num_variables(); ++j) {
-        sol.x[j] *= scaled.col[j];
-      }
-      for (int r = 0; r < problem.num_rows(); ++r) {
-        sol.duals[r] *= scaled.row[r];
-      }
-      // c' x' == c x, so the objective needs no adjustment; recompute anyway
-      // to wash out scaling round-off.
-      sol.objective = problem.objective_value(sol.x);
-      if (basis) *basis = engine.export_basis();
+  const PresolveResult pre = presolve(problem);
+  if (pre.infeasible) {
+    sol.status = SolveStatus::Infeasible;
+  } else if (!pre.unbounded) {
+    // A caller-supplied basis refers to the full problem; its restriction
+    // to the surviving columns and rows seeds the reduced solve.
+    Engine engine(pre.reduced, options_);
+    warm_used = basis != nullptr &&
+                engine.try_warm_start(pre.restrict_basis(*basis));
+    sol = pre.postsolve(problem, engine.run(warm_used));
+    sol.stats.presolve_removed_rows = pre.removed_rows;
+    sol.stats.presolve_removed_cols = pre.removed_columns;
+    if (sol.ok() && basis) {
+      *basis = pre.lift_basis(problem, engine.export_basis());
     }
   } else {
-    bool solved = false;
-    // A caller-supplied basis refers to the full problem, so an accepted
-    // warm start bypasses presolve entirely.
-    if (basis != nullptr && !basis->empty() &&
-        basis->compatible(problem.num_variables(), problem.num_rows())) {
-      Engine engine(problem, options_);
-      if (engine.try_warm_start(*basis)) {
-        warm_used = true;
-        sol = engine.run(true);
-        if (sol.ok()) *basis = engine.export_basis();
-        solved = true;
-      }
-    }
-    if (!solved && options_.presolve) {
-      const PresolveResult pre = presolve(problem);
-      if (pre.infeasible) {
-        sol.status = SolveStatus::Infeasible;
-        solved = true;
-      } else if (!pre.unbounded) {
-        Engine engine(pre.reduced, options_);
-        const LpSolution red = engine.run(false);
-        sol = pre.postsolve(problem, red, num::kFeasTol);
-        sol.stats.presolve_removed_rows = pre.removed_rows;
-        sol.stats.presolve_removed_cols = pre.removed_columns;
-        if (sol.ok() && basis) {
-          *basis = pre.lift_basis(problem, engine.export_basis());
-        }
-        solved = true;
-      }
-      // An `unbounded` verdict only proves an improving ray exists IF the
-      // rest of the model is feasible; fall through and let the full solve
-      // decide between Unbounded and Infeasible.
-    }
-    if (!solved) {
-      Engine engine(problem, options_);
-      sol = engine.run(false);
-      if (sol.ok() && basis) *basis = engine.export_basis();
-    }
+    // An `unbounded` verdict only proves an improving ray exists IF the
+    // rest of the model is feasible; the full solve decides between
+    // Unbounded and Infeasible.
+    Engine engine(problem, options_);
+    sol = engine.run(false);
+    if (sol.ok() && basis) *basis = engine.export_basis();
   }
 
   if (warm_used) {

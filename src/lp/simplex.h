@@ -23,18 +23,18 @@
 //    largest violation each iteration (ties to the smallest column index),
 //    with an automatic switch to Bland's rule after a run of degenerate
 //    pivots, which guarantees termination.
-//  * Presolve by default.  `presolve()` reductions run in front of the
-//    simplex and `postsolve` lifts the reduced optimum — primal AND dual —
-//    back to the caller's space.  Bypassed when `options.presolve` is off,
-//    when `options.scale` is on, when a warm basis is accepted (the basis
-//    refers to the full problem), and on a presolve `unbounded` verdict
-//    (which assumes the remaining model is feasible; the full solve proves
-//    it).
-//  * Warm starts.  `solve(problem, &basis)` tries to start from a caller
-//    supplied basis snapshot and writes the optimal basis back, so repeated
-//    solves of same-shaped problems (Metis alternation, branch & bound
-//    children) skip phase 1 and most of phase 2.  See Basis in types.h for
-//    the acceptance contract; rejection silently falls back to a cold start.
+//  * One solve path.  Every solve runs `presolve()` and the simplex on the
+//    reduced model; `postsolve` lifts the reduced optimum — primal AND dual
+//    — back to the caller's space.  The one unpresolved solve is the
+//    fallback after a presolve `unbounded` verdict, which assumes the
+//    remaining model is feasible; the full solve proves it.
+//  * Warm starts.  `solve(problem, &basis)` restricts a caller supplied
+//    full-space basis snapshot to the presolved model
+//    (`PresolveResult::restrict_basis`), starts from it when it is
+//    accepted, and writes the lifted optimal basis back, so repeated solves
+//    of same-shaped problems (Metis alternation, branch & bound children)
+//    skip phase 1 and most of phase 2.  See Basis in types.h for the
+//    acceptance contract; rejection silently falls back to a cold start.
 //
 // This module is the stand-in for the commercial LP solver (Gurobi) used by
 // the paper; see DESIGN.md section 2.
@@ -47,9 +47,8 @@
 namespace metis::lp {
 
 /// Knobs of the sparse revised simplex.  The defaults are the production
-/// configuration every solver in the repo runs with; tests flip individual
-/// toggles (harris, presolve, scale) to cross-check code paths against
-/// each other.
+/// configuration every solver in the repo runs with; the differential fuzz
+/// oracle flips `harris` to cross-check the two ratio tests.
 struct SimplexOptions {
   /// 0 means automatic: 200 * (rows + cols) + 2000.
   int max_iterations = 0;
@@ -64,17 +63,6 @@ struct SimplexOptions {
   /// falls back to the textbook smallest-ratio rule (the differential fuzz
   /// oracle cross-checks the two paths against each other).
   bool harris = true;
-  /// Geometric-mean equilibration of rows and columns before solving.
-  /// Opt-in: it rescues problems whose coefficients span many orders of
-  /// magnitude (see test_lp_stress), but on naturally well-scaled models —
-  /// including all SPM formulations in this repo — it perturbs degeneracy
-  /// handling and costs several times more iterations.  The solution is
-  /// unscaled transparently when enabled.
-  bool scale = false;
-  /// Run presolve reductions before the simplex (skipped when `scale` is
-  /// on or a warm-start basis is accepted).  Postsolve restores full
-  /// primal/dual vectors, so this is transparent to callers.
-  bool presolve = true;
 };
 
 /// The two-phase primal simplex method over LinearProblem (see the file
@@ -90,11 +78,12 @@ class SimplexSolver {
   LpSolution solve(const LinearProblem& problem) const;
 
   /// Same, with basis reuse: when `basis` is non-null and holds a
-  /// compatible snapshot, the solve warm-starts from it (bypassing
-  /// presolve); an unusable snapshot falls back to a cold start.  On
-  /// Optimal, `*basis` is overwritten with the final basis (possibly empty
-  /// when no valid snapshot exists, e.g. an artificial stayed basic); on
-  /// any other status it is left untouched.
+  /// compatible snapshot, the presolved solve warm-starts from its
+  /// restriction to the reduced model; an unusable snapshot falls back to a
+  /// cold start.  On Optimal, `*basis` is overwritten with the final basis
+  /// lifted to the full problem (possibly empty when no valid snapshot
+  /// exists, e.g. an artificial stayed basic); on any other status it is
+  /// left untouched.
   LpSolution solve(const LinearProblem& problem, Basis* basis) const;
 
   const SimplexOptions& options() const { return options_; }

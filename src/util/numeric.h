@@ -24,7 +24,7 @@
 // instance must use the relative helpers (approx_le & friends) with the
 // natural scale of the comparison — e.g. a capacity check passes the
 // capacity itself as `scale`.  Quantities that are *by construction* O(1)
-// (LP reduced costs after equilibration, probabilities, per-unit rates) may
+// (LP reduced costs of well-scaled models, probabilities, per-unit rates) may
 // use the constants absolutely.
 #pragma once
 

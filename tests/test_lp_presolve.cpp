@@ -7,6 +7,7 @@
 #include "core/lp_builder.h"
 #include "lp/presolve.h"
 #include "lp/simplex.h"
+#include "lp_reference.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
 
@@ -231,8 +232,8 @@ core::SpmInstance mixed_path_instance() {
 }
 
 TEST(Postsolve, RecoversPrimalAndDualsOnRlSpm) {
-  // Reduced solve + postsolve must reproduce the no-presolve solver's
-  // optimum on an RL-SPM model, with a KKT-certifiable dual vector.
+  // Reduced solve + postsolve must reproduce the dense reference's optimum
+  // of the unreduced RL-SPM model, with a KKT-certifiable dual vector.
   const core::SpmInstance instance = mixed_path_instance();
   const core::SpmModel model = core::build_rl_spm(instance);
   const PresolveResult pr = presolve(model.problem);
@@ -240,15 +241,14 @@ TEST(Postsolve, RecoversPrimalAndDualsOnRlSpm) {
   ASSERT_FALSE(pr.unbounded);
   EXPECT_GT(pr.removed_rows + pr.removed_columns, 0);
 
-  SimplexOptions raw;
-  raw.presolve = false;
-  const LpSolution reduced = SimplexSolver(raw).solve(pr.reduced);
+  const LpSolution reduced = SimplexSolver().solve(pr.reduced);
   ASSERT_TRUE(reduced.ok());
   const LpSolution sol = pr.postsolve(model.problem, reduced);
   certify_kkt(model.problem, sol);
 
-  const LpSolution dense = SimplexSolver(raw).solve(model.problem);
-  ASSERT_TRUE(dense.ok());
+  const reference::ReferenceSolution dense =
+      reference::solve_reference(model.problem);
+  ASSERT_EQ(dense.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, dense.objective,
               1e-6 * (1 + std::abs(dense.objective)));
 }
@@ -266,17 +266,49 @@ TEST(Postsolve, RecoversPrimalAndDualsOnBlSpm) {
   ASSERT_FALSE(pr.infeasible);
   ASSERT_FALSE(pr.unbounded);
 
-  SimplexOptions raw;
-  raw.presolve = false;
-  const LpSolution reduced = SimplexSolver(raw).solve(pr.reduced);
+  const LpSolution reduced = SimplexSolver().solve(pr.reduced);
   ASSERT_TRUE(reduced.ok());
   const LpSolution sol = pr.postsolve(model.problem, reduced);
   certify_kkt(model.problem, sol);
 
-  const LpSolution dense = SimplexSolver(raw).solve(model.problem);
-  ASSERT_TRUE(dense.ok());
+  const reference::ReferenceSolution dense =
+      reference::solve_reference(model.problem);
+  ASSERT_EQ(dense.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, dense.objective,
               1e-6 * (1 + std::abs(dense.objective)));
+}
+
+TEST(Presolve, RestrictBasisInvertsLift) {
+  // restrict_basis(lift_basis(b)) == b for an optimal basis of a reduced
+  // RL-SPM model; a snapshot of the wrong shape, or one whose restriction
+  // is not square, restricts to the empty basis.
+  const core::SpmInstance instance = mixed_path_instance();
+  const core::SpmModel model = core::build_rl_spm(instance);
+  const PresolveResult pr = presolve(model.problem);
+  ASSERT_GT(pr.removed_rows + pr.removed_columns, 0);
+  Basis reduced_basis;
+  ASSERT_TRUE(SimplexSolver().solve(pr.reduced, &reduced_basis).ok());
+  ASSERT_FALSE(reduced_basis.empty());
+  const Basis full = pr.lift_basis(model.problem, reduced_basis);
+  EXPECT_EQ(pr.restrict_basis(full).status, reduced_basis.status);
+
+  Basis short_basis = full;
+  short_basis.status.pop_back();
+  EXPECT_TRUE(pr.restrict_basis(short_basis).empty());
+
+  // Demote one surviving basic entry: one basic short of square.
+  Basis not_square = full;
+  const int n = model.problem.num_variables();
+  for (std::size_t k = 0; k < not_square.status.size(); ++k) {
+    const int k_int = static_cast<int>(k);
+    const bool survives =
+        k_int < n ? pr.col_map[k] >= 0 : pr.row_map[k - n] >= 0;
+    if (survives && not_square.status[k] == BasisStatus::Basic) {
+      not_square.status[k] = BasisStatus::AtLower;
+      break;
+    }
+  }
+  EXPECT_TRUE(pr.restrict_basis(not_square).empty());
 }
 
 TEST(Postsolve, PassesThroughNonOptimalStatus) {
@@ -295,8 +327,8 @@ TEST(Postsolve, PassesThroughNonOptimalStatus) {
 }
 
 TEST(Postsolve, SolverDefaultPathEqualsExplicitRoundTrip) {
-  // SimplexSolver with presolve on (the default) reports its reductions in
-  // the solve stats and still yields a KKT-certifiable pair.
+  // SimplexSolver presolves every solve, reports its reductions in the
+  // solve stats and still yields a KKT-certifiable pair.
   const core::SpmInstance instance = mixed_path_instance();
   const core::SpmModel model = core::build_rl_spm(instance);
   const LpSolution via_solver = SimplexSolver().solve(model.problem);
@@ -342,7 +374,7 @@ TEST_P(PresolveProperty, PreservesOptimumOnRandomLps) {
   const PresolveResult pr = presolve(p);
   ASSERT_FALSE(pr.infeasible) << "x0 is a feasibility witness";
   ASSERT_FALSE(pr.unbounded) << "box bounds are finite";
-  const LpSolution direct = SimplexSolver().solve(p);
+  const reference::ReferenceSolution direct = reference::solve_reference(p);
   const LpSolution via = SimplexSolver().solve(pr.reduced);
   ASSERT_EQ(direct.status, SolveStatus::Optimal);
   ASSERT_EQ(via.status, SolveStatus::Optimal);

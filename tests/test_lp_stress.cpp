@@ -9,6 +9,7 @@
 #include "core/lp_builder.h"
 #include "lp/presolve.h"
 #include "lp/simplex.h"
+#include "lp_reference.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
 
@@ -128,8 +129,9 @@ TEST(SimplexStress, ExtremeCoefficientScales) {
   EXPECT_NEAR(sol.objective, 5.0, 1e-4);
 }
 
-TEST(SimplexStress, EquilibrationScalingAgreesWithDirectSolve) {
-  // Opt-in scaling must not change verdicts or optima; sweep random LPs.
+TEST(SimplexStress, BadlyScaledRandomLpsAgreeWithReference) {
+  // Coefficients and costs spanning six orders of magnitude: the default
+  // solver must match the dense reference's verdict and optimum.
   Rng rng(424242);
   for (int trial = 0; trial < 15; ++trial) {
     const int n = rng.uniform_int(2, 6);
@@ -155,29 +157,15 @@ TEST(SimplexStress, EquilibrationScalingAgreesWithDirectSolve) {
       if (entries.empty()) continue;
       p.add_row(RowType::LessEqual, activity + rng.uniform(0, 1), entries);
     }
-    SimplexOptions scaled;
-    scaled.scale = true;
-    const LpSolution direct = SimplexSolver().solve(p);
-    const LpSolution via = SimplexSolver(scaled).solve(p);
-    ASSERT_EQ(direct.status, SolveStatus::Optimal) << "trial " << trial;
-    ASSERT_EQ(via.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_NEAR(direct.objective, via.objective,
-                1e-4 * (1 + std::abs(direct.objective)))
+    const reference::ReferenceSolution ref = reference::solve_reference(p);
+    const LpSolution sol = SimplexSolver().solve(p);
+    ASSERT_EQ(ref.status, SolveStatus::Optimal) << "trial " << trial;
+    ASSERT_EQ(sol.status, SolveStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(sol.objective, ref.objective,
+                1e-4 * (1 + std::abs(ref.objective)))
         << "trial " << trial;
-    EXPECT_TRUE(p.is_feasible(via.x, 1e-5));
+    EXPECT_TRUE(p.is_feasible(sol.x, 1e-5));
   }
-}
-
-TEST(SimplexStress, ScalingExtendsConditioningReach) {
-  // With equilibration on, the doubling chain solves a little further than
-  // the bare solver manages (the coefficients themselves are fine, so the
-  // gain is modest — presolve remains the real answer, see below).
-  const LinearProblem p = doubling_chain(22);
-  SimplexOptions scaled;
-  scaled.scale = true;
-  const LpSolution sol = SimplexSolver(scaled).solve(p);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol.objective, std::pow(2.0, 22), 1e-2);
 }
 
 LinearProblem doubling_chain(int length) {
@@ -198,7 +186,7 @@ LinearProblem doubling_chain(int length) {
 }
 
 TEST(SimplexStress, DoublingChainWithinConditioningLimit) {
-  // The bare simplex handles ~6 orders of magnitude of solution spread.
+  // ~6 orders of magnitude of solution spread.
   const LinearProblem p = doubling_chain(20);
   const LpSolution sol = SimplexSolver().solve(p);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -206,9 +194,10 @@ TEST(SimplexStress, DoublingChainWithinConditioningLimit) {
 }
 
 TEST(SimplexStress, DoublingChainBeyondLimitNeedsPresolve) {
-  // At 2^30 the phase-1 reduced costs shrink below any safe pricing
+  // At 2^30 the phase-1 reduced costs would shrink below any safe pricing
   // tolerance — the textbook case for presolve, whose singleton-equality
-  // substitution eliminates the chain entirely in exact arithmetic.
+  // substitution eliminates the chain entirely in exact arithmetic, so the
+  // solver (which presolves every solve) still proves it optimal.
   const LinearProblem p = doubling_chain(30);
   const PresolveResult pr = presolve(p);
   ASSERT_FALSE(pr.infeasible);
@@ -216,6 +205,9 @@ TEST(SimplexStress, DoublingChainBeyondLimitNeedsPresolve) {
   EXPECT_EQ(pr.reduced.num_rows(), 0);
   EXPECT_NEAR(pr.objective_offset, std::pow(2.0, 30), 1.0);
   EXPECT_NEAR(pr.fixed_value.back(), std::pow(2.0, 30), 1.0);
+  const LpSolution sol = SimplexSolver().solve(p);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_NEAR(sol.objective, std::pow(2.0, 30), 1.0);
 }
 
 TEST(SimplexStress, BenchScaleRlSpmCertified) {

@@ -143,21 +143,33 @@ TEST(WarmStart, GarbageSnapshotIsRejectedNotTrusted) {
   EXPECT_LE(rel_diff(sol.objective, reference.objective), kTol);
 }
 
-TEST(WarmStart, WorksThroughTheScaledPath) {
-  // Basis statuses are scale-invariant, so snapshots carry across solves
-  // with geometric-mean scaling enabled.
-  const core::SpmInstance instance = small_instance(7, 20);
-  const core::SpmModel model = core::build_rl_spm(instance);
-  SimplexOptions options;
-  options.scale = true;
-  SimplexSolver solver(options);
+TEST(WarmStart, AcceptedBasisRunsOnPresolvedModel) {
+  // Online-style RL-SPM: half the requests are committed elsewhere and
+  // their loads pinned on every (edge, slot), so capacity rows no free
+  // request can load are singletons that presolve folds away.  The warm
+  // re-solve restricts the carried full-space basis to the reduced model.
+  const core::SpmInstance instance = small_instance(3, 16);
+  std::vector<bool> accepted(instance.num_requests(), false);
+  for (int i = 0; i < instance.num_requests() / 2; ++i) accepted[i] = true;
+  core::LoadMatrix pinned(instance.num_edges(), instance.num_slots());
+  for (int e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < instance.num_slots(); ++t) pinned.add(e, t, 0.5);
+  }
+  const core::SpmModel model = core::build_rl_spm(instance, accepted, &pinned);
+  SimplexSolver solver;
   Basis basis;
   const LpSolution cold = solver.solve(model.problem, &basis);
   ASSERT_TRUE(cold.ok());
   ASSERT_FALSE(basis.empty());
+  ASSERT_TRUE(basis.compatible(model.problem.num_variables(),
+                               model.problem.num_rows()));
   const LpSolution warm = solver.solve(model.problem, &basis);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.stats.warm_starts, 1);
+  EXPECT_GT(warm.stats.presolve_removed_rows +
+                warm.stats.presolve_removed_cols,
+            0);
+  EXPECT_LT(warm.stats.iterations, cold.stats.iterations);
   EXPECT_LE(rel_diff(warm.objective, cold.objective), kTol);
 }
 
@@ -200,8 +212,8 @@ TEST(Degeneracy, TiedRatioCandidatesAgreeAcrossRatioTests) {
   // rows: every ratio-test step sees a block of exactly tied candidates,
   // and the duplicate rows force degenerate pivots.  Harris and textbook
   // ratio tests may walk different vertex sequences but must land on the
-  // same objective.  Presolve off so the duplicates actually reach the
-  // simplex.
+  // same objective.  Presolve has no duplicate-row rule, so the
+  // duplicates reach the simplex.
   LinearProblem p(Sense::Maximize);
   std::vector<int> x;
   for (int i = 0; i < 12; ++i) x.push_back(p.add_variable(0, 1, 1.0));
@@ -210,11 +222,9 @@ TEST(Degeneracy, TiedRatioCandidatesAgreeAcrossRatioTests) {
     for (int v : x) row.push_back({v, 1.0});
     p.add_row(RowType::LessEqual, 3.0, row);
   }
-  SimplexOptions harris_opt;
-  harris_opt.presolve = false;
-  SimplexOptions textbook_opt = harris_opt;
+  SimplexOptions textbook_opt;
   textbook_opt.harris = false;
-  const LpSolution harris = SimplexSolver(harris_opt).solve(p);
+  const LpSolution harris = SimplexSolver().solve(p);
   const LpSolution textbook = SimplexSolver(textbook_opt).solve(p);
   ASSERT_TRUE(harris.ok());
   ASSERT_TRUE(textbook.ok());
@@ -282,26 +292,30 @@ TEST(WarmStart, DegenerateTiedRatiosStayPrimalFeasible) {
   // the step is 1 + 0.9e-7 and row 1's activity ends at 1000.00009 —
   // a 9e-5 primal violation that survives refactorization.  The two-pass
   // rule anchors the tie band (kTieTol-sized) at the final minimum, steps
-  // exactly 1.0 and keeps the point feasible.  Warm-started from the slack
-  // basis so presolve cannot reduce the crafted rows away; harris = false
-  // exercises the textbook path.
+  // exactly 1.0 and keeps the point feasible.  Each row also carries a
+  // zero-cost column y, so the rows are not singletons and presolve keeps
+  // them for the simplex; y prices out at 0.  Warm-started from the slack
+  // basis; harris = false exercises the textbook path.
   LinearProblem p(Sense::Maximize);
   const int x = p.add_variable(0.0, 10.0, 1.0);
-  p.add_row(RowType::LessEqual, 1.0 + 0.9e-7, {{x, 1.0}});
-  p.add_row(RowType::LessEqual, 1000.0, {{x, 1000.0}});
+  const int y = p.add_variable(0.0, 10.0, 0.0);
+  p.add_row(RowType::LessEqual, 1.0 + 0.9e-7, {{x, 1.0}, {y, 1.0}});
+  p.add_row(RowType::LessEqual, 1000.0, {{x, 1000.0}, {y, 1000.0}});
 
   SimplexOptions options;
   options.harris = false;
   Basis slack_basis;
-  slack_basis.status = {BasisStatus::AtLower,  // x at 0
+  slack_basis.status = {BasisStatus::AtLower, BasisStatus::AtLower,  // x, y
                         BasisStatus::Basic, BasisStatus::Basic};
   const LpSolution sol =
       SimplexSolver(options).solve(p, &slack_basis);
   ASSERT_TRUE(sol.ok());
   EXPECT_EQ(sol.stats.warm_starts, 1);
+  EXPECT_EQ(sol.stats.presolve_removed_rows, 0);
   EXPECT_NEAR(sol.objective, 1.0, kTol);
+  EXPECT_NEAR(sol.x[y], 0.0, kTol);
   // The binding row must not be overdriven: activity <= rhs + kFeasTol.
-  EXPECT_LE(1000.0 * sol.x[x], 1000.0 + num::kFeasTol);
+  EXPECT_LE(1000.0 * (sol.x[x] + sol.x[y]), 1000.0 + num::kFeasTol);
 }
 
 }  // namespace
